@@ -68,6 +68,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L model
 # pool-accounting hot path (admission, split release, pool-conservation
 # invariant) under a sampled policy/pool/alpha, under the sanitizers.
 "$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED" --force-mmu
+# Eighth pass with FIFO eviction forced on a small flow table: rules are
+# evicted out of the table's incremental victim order while packets wait in
+# the buffers, under the sanitizers. Fixed seed and budget (the CI smoke's).
+"$BUILD_DIR/tests/fuzz_scenarios" --runs 20 --seed 7000 --force-eviction fifo
 # Data-fault unit/integration suite, explicitly (it is part of ctest above,
 # but run it by name so a label change can't silently drop the coverage).
 "$BUILD_DIR/tests/test_data_fault"
@@ -91,4 +95,4 @@ export TSAN_OPTIONS="halt_on_error=1"
 # pass too.
 "$TSAN_DIR/tests/test_mmu"
 
-echo "sanitize_check: OK (7 x ${FUZZ_RUNS} scenarios x 3 modes, seed ${FUZZ_SEED}; TSan clean)"
+echo "sanitize_check: OK (7 x ${FUZZ_RUNS} scenarios x 3 modes, seed ${FUZZ_SEED}; 20 forced-FIFO; TSan clean)"

@@ -382,5 +382,25 @@ void TeeObserver::on_channel_fault(bool to_controller, const of::OfMessage& msg,
   if (a_ != nullptr) a_->on_channel_fault(to_controller, msg, kind, now);
   if (b_ != nullptr) b_->on_channel_fault(to_controller, msg, kind, now);
 }
+void TeeObserver::on_mmu_admit(std::uint32_t queue, std::uint64_t native, std::uint64_t cells,
+                               std::uint64_t queue_cells_after, std::uint64_t pool_cells_after,
+                               sim::SimTime now) {
+  if (a_ != nullptr) {
+    a_->on_mmu_admit(queue, native, cells, queue_cells_after, pool_cells_after, now);
+  }
+  if (b_ != nullptr) {
+    b_->on_mmu_admit(queue, native, cells, queue_cells_after, pool_cells_after, now);
+  }
+}
+void TeeObserver::on_mmu_release(std::uint32_t queue, std::uint64_t native, std::uint64_t cells,
+                                 std::uint64_t queue_cells_after, std::uint64_t pool_cells_after,
+                                 sim::SimTime now) {
+  if (a_ != nullptr) {
+    a_->on_mmu_release(queue, native, cells, queue_cells_after, pool_cells_after, now);
+  }
+  if (b_ != nullptr) {
+    b_->on_mmu_release(queue, native, cells, queue_cells_after, pool_cells_after, now);
+  }
+}
 
 }  // namespace sdnbuf::obs

@@ -159,6 +159,12 @@ class TeeObserver final : public verify::InvariantObserver {
   void on_control_message(bool to_controller, const of::OfMessage& msg, sim::SimTime now) override;
   void on_channel_fault(bool to_controller, const of::OfMessage& msg, of::FaultKind kind,
                         sim::SimTime now) override;
+  void on_mmu_admit(std::uint32_t queue, std::uint64_t native, std::uint64_t cells,
+                    std::uint64_t queue_cells_after, std::uint64_t pool_cells_after,
+                    sim::SimTime now) override;
+  void on_mmu_release(std::uint32_t queue, std::uint64_t native, std::uint64_t cells,
+                      std::uint64_t queue_cells_after, std::uint64_t pool_cells_after,
+                      sim::SimTime now) override;
 
  private:
   verify::InvariantObserver* a_;

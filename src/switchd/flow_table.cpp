@@ -1,6 +1,7 @@
 #include "switchd/flow_table.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.hpp"
 
@@ -15,99 +16,176 @@ const char* eviction_policy_name(EvictionPolicy policy) {
   return "?";
 }
 
+std::optional<EvictionPolicy> parse_eviction_policy(const std::string& name) {
+  for (const EvictionPolicy policy :
+       {EvictionPolicy::Lru, EvictionPolicy::Fifo, EvictionPolicy::Random}) {
+    if (name == eviction_policy_name(policy)) return policy;
+  }
+  return std::nullopt;
+}
+
 FlowTable::FlowTable(std::size_t capacity, EvictionPolicy policy, std::uint64_t rng_seed)
     : capacity_(capacity), policy_(policy), rng_(rng_seed) {
   SDNBUF_CHECK_MSG(capacity_ >= 1, "flow table needs capacity");
 }
 
-std::string FlowTable::exact_key(const of::Match& m) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(of::kMatchSize);
-  m.encode(bytes);
-  return std::string(bytes.begin(), bytes.end());
+std::size_t FlowTable::MatchHash::operator()(const of::Match& m) const {
+  const auto mac48 = [](const net::MacAddress& mac) {
+    std::uint64_t v = 0;
+    for (const std::uint8_t octet : mac.octets()) v = (v << 8) | octet;
+    return v;
+  };
+  std::uint64_t h = util::mix64(m.wildcards | std::uint64_t{m.in_port} << 32 |
+                                std::uint64_t{m.dl_vlan} << 48);
+  h = util::mix64(h ^ mac48(m.dl_src) ^ std::uint64_t{m.dl_type} << 48);
+  h = util::mix64(h ^ mac48(m.dl_dst) ^ std::uint64_t{m.dl_vlan_pcp} << 48 ^
+                  std::uint64_t{m.nw_tos} << 56);
+  h = util::mix64(h ^ m.nw_src.value() ^ std::uint64_t{m.nw_dst.value()} << 32);
+  return static_cast<std::size_t>(util::mix64(h ^ m.tp_src ^ std::uint64_t{m.tp_dst} << 16 ^
+                                              std::uint64_t{m.nw_proto} << 32));
+}
+
+FlowTable::Node* FlowTable::best_match(const net::Packet& p, std::uint16_t in_port) const {
+  // Exact-match fast path: the key is the packet's own exact match, and the
+  // slot's first rule has the highest priority among those sharing it.
+  Node* best = nullptr;
+  if (const auto it = exact_index_.find(of::Match::exact_from(p, in_port));
+      it != exact_index_.end()) {
+    best = it->second;
+  }
+  // Wildcard entries can still win on priority.
+  for (Node* n : wildcard_entries_) {
+    if (best && n->entry.priority <= best->entry.priority) continue;
+    if (n->entry.match.matches(p, in_port)) best = n;
+  }
+  return best;
 }
 
 FlowEntry* FlowTable::lookup(const net::Packet& p, std::uint16_t in_port, sim::SimTime now) {
   ++lookups_;
-  FlowEntry* best = nullptr;
-
-  // Exact-match fast path: the key is the packet's own exact match.
-  const auto exact = of::Match::exact_from(p, in_port);
-  if (const auto it = exact_index_.find(exact_key(exact)); it != exact_index_.end()) {
-    best = &*it->second;
+  Node* best = best_match(p, in_port);
+  if (best == nullptr) return nullptr;
+  ++hits_;
+  FlowEntry& e = best->entry;
+  e.last_used = now;
+  ++e.packet_count;
+  e.byte_count += p.frame_size;
+  if (policy_ == EvictionPolicy::Lru) {
+    order_unlink(*best);
+    order_insert(*best);
   }
-
-  // Wildcard entries can still win on priority.
-  for (const auto& it : wildcard_entries_) {
-    FlowEntry& e = *it;
-    if (best && e.priority <= best->priority) continue;
-    if (e.match.matches(p, in_port)) best = &e;
-  }
-
-  if (best != nullptr) {
-    ++hits_;
-    best->last_used = now;
-    ++best->packet_count;
-    best->byte_count += p.frame_size;
-  }
-  return best;
+  return &e;
 }
 
 const FlowEntry* FlowTable::peek(const net::Packet& p, std::uint16_t in_port) const {
-  const FlowEntry* best = nullptr;
-  const auto exact = of::Match::exact_from(p, in_port);
-  if (const auto it = exact_index_.find(exact_key(exact)); it != exact_index_.end()) {
-    best = &*it->second;
-  }
-  for (const auto& it : wildcard_entries_) {
-    const FlowEntry& e = *it;
-    if (best && e.priority <= best->priority) continue;
-    if (e.match.matches(p, in_port)) best = &e;
-  }
-  return best;
+  const Node* best = best_match(p, in_port);
+  return best != nullptr ? &best->entry : nullptr;
 }
 
-void FlowTable::unlink(EntryIt it) {
-  if (is_exact(it->match)) {
-    exact_index_.erase(exact_key(it->match));
-  } else {
-    const auto pos = std::find(wildcard_entries_.begin(), wildcard_entries_.end(), it);
+FlowTable::Node* FlowTable::find_rule(const of::Match& match, std::uint16_t priority) const {
+  if (is_exact(match)) {
+    const auto it = exact_index_.find(match);
+    if (it == exact_index_.end()) return nullptr;
+    for (Node* n = it->second; n != nullptr; n = n->lower) {
+      if (n->entry.priority == priority) return n;
+    }
+    return nullptr;
+  }
+  for (Node* n : wildcard_entries_) {
+    if (n->entry.match == match && n->entry.priority == priority) return n;
+  }
+  return nullptr;
+}
+
+void FlowTable::index(Node& n) {
+  if (!is_exact(n.entry.match)) {
+    wildcard_entries_.push_back(&n);
+    return;
+  }
+  // Keep the slot's chain in descending priority (find_rule guarantees no
+  // two rules share a match and a priority).
+  Node** link = &exact_index_.try_emplace(n.entry.match, nullptr).first->second;
+  while (*link != nullptr && (*link)->entry.priority > n.entry.priority) link = &(*link)->lower;
+  n.lower = *link;
+  *link = &n;
+}
+
+void FlowTable::unindex(Node& n) {
+  if (!is_exact(n.entry.match)) {
+    const auto pos = std::find(wildcard_entries_.begin(), wildcard_entries_.end(), &n);
     SDNBUF_CHECK(pos != wildcard_entries_.end());
     wildcard_entries_.erase(pos);
+    return;
+  }
+  const auto it = exact_index_.find(n.entry.match);
+  SDNBUF_CHECK(it != exact_index_.end());
+  Node** link = &it->second;
+  while (*link != &n) {
+    SDNBUF_CHECK(*link != nullptr);
+    link = &(*link)->lower;
+  }
+  *link = n.lower;
+  n.lower = nullptr;
+  if (it->second == nullptr) exact_index_.erase(it);
+}
+
+bool FlowTable::order_less(const Node& a, const Node& b) const {
+  const auto key = [this](const Node& n) {
+    return policy_ == EvictionPolicy::Lru ? n.entry.last_used : n.entry.installed_at;
+  };
+  const sim::SimTime ka = key(a);
+  const sim::SimTime kb = key(b);
+  return ka < kb || (ka == kb && a.seq < b.seq);
+}
+
+void FlowTable::order_insert(Node& n) {
+  // Step back from the newest end past every larger key: O(1) while
+  // simulated time is monotone, still exact when it is not.
+  Node* before = newest_;
+  while (before != nullptr && order_less(n, *before)) before = before->older;
+  Node* after = before != nullptr ? before->newer : oldest_;
+  n.older = before;
+  n.newer = after;
+  if (before != nullptr) {
+    before->newer = &n;
+  } else {
+    oldest_ = &n;
+  }
+  if (after != nullptr) {
+    after->older = &n;
+  } else {
+    newest_ = &n;
   }
 }
 
-RemovedEntry FlowTable::take(EntryIt it, of::FlowRemovedReason reason) {
-  unlink(it);
-  RemovedEntry removed{std::move(*it), reason};
-  entries_.erase(it);
+void FlowTable::order_unlink(Node& n) {
+  if (n.older != nullptr) {
+    n.older->newer = n.newer;
+  } else {
+    oldest_ = n.newer;
+  }
+  if (n.newer != nullptr) {
+    n.newer->older = n.older;
+  } else {
+    newest_ = n.older;
+  }
+  n.older = n.newer = nullptr;
+}
+
+RemovedEntry FlowTable::take(Node& n, of::FlowRemovedReason reason) {
+  unindex(n);
+  if (ordered()) order_unlink(n);
+  RemovedEntry removed{std::move(n.entry), reason};
+  entries_.erase(n.self);
   return removed;
 }
 
-FlowTable::EntryIt FlowTable::find_victim() {
+FlowTable::Node& FlowTable::find_victim() {
   SDNBUF_CHECK(!entries_.empty());
-  switch (policy_) {
-    case EvictionPolicy::Lru: {
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->last_used < victim->last_used) victim = it;
-      }
-      return victim;
-    }
-    case EvictionPolicy::Fifo: {
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (it->installed_at < victim->installed_at) victim = it;
-      }
-      return victim;
-    }
-    case EvictionPolicy::Random: {
-      auto victim = entries_.begin();
-      std::advance(victim, static_cast<std::ptrdiff_t>(rng_.next_below(entries_.size())));
-      return victim;
-    }
-  }
-  return entries_.begin();
+  if (ordered()) return *oldest_;
+  auto victim = entries_.begin();
+  std::advance(victim, static_cast<std::ptrdiff_t>(rng_.next_below(entries_.size())));
+  return *victim;
 }
 
 FlowTable::AddResult FlowTable::add(FlowEntry entry, sim::SimTime now) {
@@ -115,19 +193,18 @@ FlowTable::AddResult FlowTable::add(FlowEntry entry, sim::SimTime now) {
   entry.installed_at = now;
   entry.last_used = now;
 
-  // ADD overwrites an identical (match, priority) entry.
-  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->match == entry.match && it->priority == entry.priority) {
-      unlink(it);
-      *it = std::move(entry);
-      if (is_exact(it->match)) {
-        exact_index_.emplace(exact_key(it->match), it);
-      } else {
-        wildcard_entries_.push_back(it);
-      }
-      result.replaced = true;
-      return result;
+  // ADD overwrites an identical (match, priority) entry in place: it keeps
+  // its install sequence, and a wildcard rule moves to the back of the scan.
+  if (Node* same = find_rule(entry.match, entry.priority); same != nullptr) {
+    unindex(*same);
+    same->entry = std::move(entry);
+    index(*same);
+    if (ordered()) {
+      order_unlink(*same);
+      order_insert(*same);
     }
+    result.replaced = true;
+    return result;
   }
 
   while (entries_.size() >= capacity_) {
@@ -135,13 +212,12 @@ FlowTable::AddResult FlowTable::add(FlowEntry entry, sim::SimTime now) {
     result.evicted.push_back(take(find_victim(), of::FlowRemovedReason::Eviction));
   }
 
-  entries_.push_back(std::move(entry));
-  const auto it = std::prev(entries_.end());
-  if (is_exact(it->match)) {
-    exact_index_.emplace(exact_key(it->match), it);
-  } else {
-    wildcard_entries_.push_back(it);
-  }
+  Node& n = entries_.emplace_back();
+  n.entry = std::move(entry);
+  n.self = std::prev(entries_.end());
+  n.seq = next_seq_++;
+  index(n);
+  if (ordered()) order_insert(n);
   return result;
 }
 
@@ -149,14 +225,11 @@ std::vector<RemovedEntry> FlowTable::remove(const of::Match& match,
                                             std::optional<std::uint16_t> priority, bool strict) {
   std::vector<RemovedEntry> removed;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    const bool hit = strict ? (it->match == match && (!priority || it->priority == *priority))
-                            : match.subsumes(it->match);
-    if (hit) {
-      auto victim = it++;
-      removed.push_back(take(victim, of::FlowRemovedReason::Delete));
-    } else {
-      ++it;
-    }
+    Node& n = *it++;
+    const FlowEntry& e = n.entry;
+    const bool hit = strict ? (e.match == match && (!priority || e.priority == *priority))
+                            : match.subsumes(e.match);
+    if (hit) removed.push_back(take(n, of::FlowRemovedReason::Delete));
   }
   return removed;
 }
@@ -164,22 +237,13 @@ std::vector<RemovedEntry> FlowTable::remove(const of::Match& match,
 std::vector<RemovedEntry> FlowTable::expire(sim::SimTime now) {
   std::vector<RemovedEntry> removed;
   for (auto it = entries_.begin(); it != entries_.end();) {
-    of::FlowRemovedReason reason{};
-    bool expired = false;
-    if (it->hard_timeout_s != 0 &&
-        now - it->installed_at >= sim::SimTime::seconds(it->hard_timeout_s)) {
-      expired = true;
-      reason = of::FlowRemovedReason::HardTimeout;
-    } else if (it->idle_timeout_s != 0 &&
-               now - it->last_used >= sim::SimTime::seconds(it->idle_timeout_s)) {
-      expired = true;
-      reason = of::FlowRemovedReason::IdleTimeout;
-    }
-    if (expired) {
-      auto victim = it++;
-      removed.push_back(take(victim, reason));
-    } else {
-      ++it;
+    Node& n = *it++;
+    const FlowEntry& e = n.entry;
+    if (e.hard_timeout_s != 0 && now - e.installed_at >= sim::SimTime::seconds(e.hard_timeout_s)) {
+      removed.push_back(take(n, of::FlowRemovedReason::HardTimeout));
+    } else if (e.idle_timeout_s != 0 &&
+               now - e.last_used >= sim::SimTime::seconds(e.idle_timeout_s)) {
+      removed.push_back(take(n, of::FlowRemovedReason::IdleTimeout));
     }
   }
   return removed;
@@ -188,7 +252,7 @@ std::vector<RemovedEntry> FlowTable::expire(sim::SimTime now) {
 std::vector<const FlowEntry*> FlowTable::entries() const {
   std::vector<const FlowEntry*> out;
   out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(&e);
+  for (const Node& n : entries_) out.push_back(&n.entry);
   return out;
 }
 

@@ -2,14 +2,19 @@
 //
 // Supports what the testbed and the discussion section need:
 //   - priority-ordered wildcard matching (linear scan, highest priority wins)
-//   - an exact-match fast path (hash on the encoded exact match) so the
-//     reactive micro-flow rules the controller installs are O(1), mirroring
-//     OVS's exact-match datapath cache
+//   - an exact-match fast path: a hash index keyed on the of::Match itself
+//     (no per-packet encoding), so the reactive micro-flow rules the
+//     controller installs are found in O(1), mirroring OVS's exact-match
+//     datapath cache. Rules sharing one exact match at different priorities
+//     hang off the same index slot, highest priority first.
 //   - idle and hard timeouts
 //   - a capacity limit with a pluggable eviction policy (§VI.B: rules
 //     "kicked out from the size limited flow table"; the related work —
 //     LRU caching [13], flow-driven caching [17], adaptive caching [29] —
-//     is all about this choice), reported with FlowRemovedReason::Eviction
+//     is all about this choice), reported with FlowRemovedReason::Eviction.
+//     LRU and FIFO keep their victims in an intrusive order sorted by
+//     (last_used or installed_at, install sequence), so installing into a
+//     full table is O(1) while simulated time moves forward (DESIGN.md §9.5).
 #pragma once
 
 #include <cstdint>
@@ -37,6 +42,9 @@ enum class EvictionPolicy {
 
 [[nodiscard]] const char* eviction_policy_name(EvictionPolicy policy);
 
+// Inverse of eviction_policy_name ("lru", "fifo", "random").
+[[nodiscard]] std::optional<EvictionPolicy> parse_eviction_policy(const std::string& name);
+
 struct FlowEntry {
   of::Match match;
   std::uint16_t priority = 0;
@@ -60,6 +68,9 @@ class FlowTable {
  public:
   explicit FlowTable(std::size_t capacity, EvictionPolicy policy = EvictionPolicy::Lru,
                      std::uint64_t rng_seed = 1);
+  // Nodes link to each other by address: a copy would alias the original.
+  FlowTable(const FlowTable&) = delete;
+  FlowTable& operator=(const FlowTable&) = delete;
 
   // Highest-priority matching entry, or nullptr. Updates last_used and the
   // packet/byte counters of the hit entry.
@@ -70,7 +81,7 @@ class FlowTable {
 
   struct AddResult {
     bool replaced = false;            // an identical (match, priority) entry existed
-    std::vector<RemovedEntry> evicted;  // LRU victims if the table was full
+    std::vector<RemovedEntry> evicted;  // victims if the table was full
   };
 
   // Installs / overwrites an entry (flow_mod ADD semantics).
@@ -90,27 +101,53 @@ class FlowTable {
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
-  // Iteration for diagnostics/tests (unspecified order).
+  // Iteration for diagnostics/tests, in install order (a replace keeps an
+  // entry's place). remove() and expire() report in this order too.
   [[nodiscard]] std::vector<const FlowEntry*> entries() const;
 
  private:
-  using EntryList = std::list<FlowEntry>;
-  using EntryIt = EntryList::iterator;
+  // One installed rule plus the links the table threads through it.
+  struct Node {
+    FlowEntry entry;
+    std::list<Node>::iterator self;  // this node's place in entries_
+    std::uint64_t seq = 0;           // install sequence; a replace keeps it
+    Node* older = nullptr;           // eviction order (LRU/FIFO only)
+    Node* newer = nullptr;
+    Node* lower = nullptr;  // next exact rule with the same match, lower priority
+  };
+  using NodeList = std::list<Node>;
+  using NodeIt = NodeList::iterator;
 
-  // Key for the exact-match fast path: the encoded bytes of an exact match.
-  [[nodiscard]] static std::string exact_key(const of::Match& m);
+  struct MatchHash {
+    std::size_t operator()(const of::Match& m) const;
+  };
+
   [[nodiscard]] static bool is_exact(const of::Match& m) { return m.wildcards == 0; }
 
-  void unlink(EntryIt it);
-  RemovedEntry take(EntryIt it, of::FlowRemovedReason reason);
-  EntryIt find_victim();
+  [[nodiscard]] Node* best_match(const net::Packet& p, std::uint16_t in_port) const;
+  [[nodiscard]] Node* find_rule(const of::Match& match, std::uint16_t priority) const;
+  void index(Node& n);
+  void unindex(Node& n);
+  RemovedEntry take(Node& n, of::FlowRemovedReason reason);
+  Node& find_victim();
+
+  // Eviction order: oldest_ is the victim. Unused under Random.
+  [[nodiscard]] bool ordered() const { return policy_ != EvictionPolicy::Random; }
+  [[nodiscard]] bool order_less(const Node& a, const Node& b) const;
+  void order_insert(Node& n);
+  void order_unlink(Node& n);
 
   std::size_t capacity_;
   EvictionPolicy policy_;
   util::Rng rng_;
-  EntryList entries_;
-  std::unordered_map<std::string, EntryIt> exact_index_;
-  std::vector<EntryIt> wildcard_entries_;  // scanned in priority order
+  NodeList entries_;  // install order
+  std::unordered_map<of::Match, Node*, MatchHash> exact_index_;
+  // Scanned in order, so on a priority tie the first match wins. A replace
+  // moves the rule to the back.
+  std::vector<Node*> wildcard_entries_;
+  Node* oldest_ = nullptr;
+  Node* newest_ = nullptr;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t lookups_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t evictions_ = 0;

@@ -374,6 +374,8 @@ void InvariantRegistry::on_mmu_admit(std::uint32_t queue, std::uint64_t native,
                                      std::uint64_t cells, std::uint64_t queue_cells_after,
                                      std::uint64_t pool_cells_after, sim::SimTime now) {
   ++events_;
+  ++mmu_totals_.admits;
+  mmu_totals_.cells_admitted += cells;
   MmuQueueLedger& ledger = mmu_queues_[queue];
   ledger.native += native;
   ledger.cells += cells;
@@ -385,6 +387,8 @@ void InvariantRegistry::on_mmu_release(std::uint32_t queue, std::uint64_t native
                                        std::uint64_t cells, std::uint64_t queue_cells_after,
                                        std::uint64_t pool_cells_after, sim::SimTime now) {
   ++events_;
+  ++mmu_totals_.releases;
+  mmu_totals_.cells_released += cells;
   MmuQueueLedger& ledger = mmu_queues_[queue];
   if (native > ledger.native) {
     violate(now, "mmu-release-underflow",

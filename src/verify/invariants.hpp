@@ -131,6 +131,16 @@ class InvariantRegistry final : public InvariantObserver {
   };
   [[nodiscard]] AccountTotals account_totals() const;
 
+  // The MMU admit/release stream this registry consumed, for checking that
+  // an observer chain forwards it.
+  struct MmuTotals {
+    std::uint64_t admits = 0;
+    std::uint64_t releases = 0;
+    std::uint64_t cells_admitted = 0;
+    std::uint64_t cells_released = 0;
+  };
+  [[nodiscard]] const MmuTotals& mmu_totals() const { return mmu_totals_; }
+
   // Human-readable violation digest (at most `max_lines` violations).
   [[nodiscard]] std::string report(std::size_t max_lines = 20) const;
 
@@ -203,6 +213,7 @@ class InvariantRegistry final : public InvariantObserver {
   // Ordered for deterministic pool sums and reports.
   std::map<std::uint32_t, MmuQueueLedger> mmu_queues_;
   std::uint64_t mmu_pool_cells_ = 0;
+  MmuTotals mmu_totals_;
 };
 
 }  // namespace sdnbuf::verify

@@ -12,7 +12,7 @@ namespace sdnbuf::verify {
 
 Scenario sample_scenario(std::uint64_t seed, bool force_faults, bool force_fabric,
                          bool force_link_faults, bool force_shards, bool force_telemetry,
-                         bool force_mmu) {
+                         bool force_mmu, std::optional<sw::EvictionPolicy> force_eviction) {
   // Decorrelate the sampling stream from the experiment's own seeded
   // streams (which derive from `seed` directly).
   util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x5ca1ab1e);
@@ -107,6 +107,18 @@ Scenario sample_scenario(std::uint64_t seed, bool force_faults, bool force_fabri
     s.mmu_pool_cells = kPools[rng.next_below(3)];
     constexpr double kAlphas[] = {0.25, 0.5, 1.0, 2.0};
     s.mmu_alpha = kAlphas[rng.next_below(4)];
+  }
+  // Eviction-policy draws come after the MMU draws (same append-only
+  // discipline). The gate draw is always consumed.
+  const bool want_eviction = rng.next_double() < 0.30;
+  if (want_eviction || force_eviction) {
+    constexpr sw::EvictionPolicy kPolicies[] = {sw::EvictionPolicy::Lru, sw::EvictionPolicy::Fifo,
+                                                sw::EvictionPolicy::Random};
+    s.eviction_policy = force_eviction.value_or(kPolicies[rng.next_below(3)]);
+    // A forced policy must actually pick victims: shrink a default table.
+    if (force_eviction && s.flow_table_capacity > 64) {
+      s.flow_table_capacity = 16 + rng.next_below(49);
+    }
   }
   return s;
 }
@@ -365,6 +377,9 @@ std::string Scenario::describe() const {
      << " tcp=" << tcp_flow_fraction << " buf_cap=" << buffer_capacity << " table_cap="
      << flow_table_capacity << " piggyback=" << piggyback_buffer_id << " drop_p="
      << drop_pkt_in_probability << " poll=" << stats_poll_interval.to_string();
+  if (eviction_policy != sw::EvictionPolicy::Lru) {
+    os << " eviction=" << sw::eviction_policy_name(eviction_policy);
+  }
   if (has_channel_faults() || echo_interval > sim::SimTime::zero()) {
     os << " chan_loss=" << chan_loss_to_controller << '/' << chan_loss_to_switch
        << " chan_dup=" << chan_duplicate_prob << " chan_jitter=" << chan_extra_delay.to_string()
@@ -406,6 +421,7 @@ core::ExperimentConfig Scenario::experiment_config(sw::BufferMode mode) const {
   cfg.tcp_flow_fraction = tcp_flow_fraction;
   cfg.seed = seed;
   cfg.testbed.switch_config.flow_table_capacity = flow_table_capacity;
+  cfg.testbed.switch_config.eviction_policy = eviction_policy;
   cfg.testbed.controller_config.piggyback_buffer_id = piggyback_buffer_id;
   cfg.testbed.controller_config.drop_pkt_in_probability = drop_pkt_in_probability;
   cfg.testbed.controller_config.stats_poll_interval = stats_poll_interval;

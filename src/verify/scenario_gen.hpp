@@ -11,6 +11,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,10 @@ struct Scenario {
   std::uint64_t mmu_pool_cells = 0;
   double mmu_alpha = 1.0;
 
+  // Flow-table eviction policy of the single-switch runs (their tables are
+  // the ones the stress corners shrink until rules get evicted).
+  sw::EvictionPolicy eviction_policy = sw::EvictionPolicy::Lru;
+
   [[nodiscard]] bool has_fabric() const { return fabric_switches > 0; }
 
   [[nodiscard]] bool has_mmu() const { return mmu; }
@@ -133,13 +138,17 @@ struct Scenario {
 // guarantees the observatory ledger cross-check attaches (its draws are
 // appended after everything else, same append-only discipline).
 // `force_mmu` guarantees the shared-memory MMU arbitrates every run (its
-// draws are appended after the telemetry draws, same discipline).
+// draws are appended after the telemetry draws, same discipline). The
+// eviction-policy draw comes after those; `force_eviction` pins the policy
+// and, when the base draw left the flow table large, shrinks it so the
+// policy actually picks victims.
 [[nodiscard]] Scenario sample_scenario(std::uint64_t seed, bool force_faults = false,
                                        bool force_fabric = false,
                                        bool force_link_faults = false,
                                        bool force_shards = false,
                                        bool force_telemetry = false,
-                                       bool force_mmu = false);
+                                       bool force_mmu = false,
+                                       std::optional<sw::EvictionPolicy> force_eviction = {});
 
 struct ModeOutcome {
   sw::BufferMode mode = sw::BufferMode::NoBuffer;

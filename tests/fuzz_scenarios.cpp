@@ -10,6 +10,7 @@
 // (or simply --seed <base_seed + failing_index> --runs 1: scenario i of a
 // run with base seed S is sample_scenario(S + i)).
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "util/cli.hpp"
@@ -20,11 +21,12 @@ int main(int argc, char** argv) {
 
   util::CliFlags flags(argc, argv, {"runs", "seed", "offset", "verbose", "force-faults",
                                     "force-fabric", "force-link-faults", "force-shards",
-                                    "force-telemetry", "force-mmu"});
+                                    "force-telemetry", "force-mmu", "force-eviction"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\nusage: fuzz_scenarios [--runs N] [--seed S] [--offset K] "
                          "[--verbose] [--force-faults] [--force-fabric] [--force-link-faults] "
-                         "[--force-shards] [--force-telemetry] [--force-mmu]\n",
+                         "[--force-shards] [--force-telemetry] [--force-mmu] "
+                         "[--force-eviction lru|fifo|random]\n",
                  flags.error().c_str());
     return 2;
   }
@@ -38,6 +40,15 @@ int main(int argc, char** argv) {
   const bool force_shards = flags.get_bool("force-shards", false);
   const bool force_telemetry = flags.get_bool("force-telemetry", false);
   const bool force_mmu = flags.get_bool("force-mmu", false);
+  const std::string eviction_name = flags.get_string("force-eviction", "");
+  std::optional<sw::EvictionPolicy> force_eviction;
+  if (!eviction_name.empty()) {
+    force_eviction = sw::parse_eviction_policy(eviction_name);
+    if (!force_eviction) {
+      std::fprintf(stderr, "fuzz_scenarios: --force-eviction takes lru, fifo or random\n");
+      return 2;
+    }
+  }
   if (force_faults && (force_fabric || force_link_faults || force_shards)) {
     std::fprintf(stderr,
                  "fuzz_scenarios: --force-faults excludes the fabric-forcing flags\n");
@@ -53,7 +64,7 @@ int main(int argc, char** argv) {
     const verify::Scenario scenario =
         verify::sample_scenario(static_cast<std::uint64_t>(base_seed + i), force_faults,
                                 force_fabric, force_link_faults, force_shards, force_telemetry,
-                                force_mmu);
+                                force_mmu, force_eviction);
     const verify::ScenarioOutcome outcome = verify::run_scenario(scenario);
     if (outcome.ok()) {
       if (verbose) {
@@ -79,13 +90,14 @@ int main(int argc, char** argv) {
     for (const auto& failure : outcome.failures) {
       std::printf("      %s\n", failure.c_str());
     }
-    std::printf("      reproduce: fuzz_scenarios --seed %lld --runs 1%s%s%s%s%s%s\n",
+    std::printf("      reproduce: fuzz_scenarios --seed %lld --runs 1%s%s%s%s%s%s%s%s\n",
                 base_seed + i, force_faults ? " --force-faults" : "",
                 force_fabric ? " --force-fabric" : "",
                 force_link_faults ? " --force-link-faults" : "",
                 force_shards ? " --force-shards" : "",
                 force_telemetry ? " --force-telemetry" : "",
-                force_mmu ? " --force-mmu" : "");
+                force_mmu ? " --force-mmu" : "", force_eviction ? " --force-eviction " : "",
+                eviction_name.c_str());
   }
 
   std::printf("fuzz_scenarios: %lld scenario(s) x 3 modes, %d failure(s)\n", runs, failed);

@@ -1,12 +1,17 @@
 // Unit tests for the flow table: exact/wildcard lookup, priorities,
-// counters, idle/hard timeouts, capacity eviction (LRU), delete semantics.
+// counters, idle/hard timeouts, capacity eviction (LRU/FIFO/Random), delete
+// semantics, and a differential test of the incremental eviction order
+// against a naive reference table.
 #include <gtest/gtest.h>
 
+#include <list>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "net/packet.hpp"
 #include "switchd/flow_table.hpp"
+#include "util/rng.hpp"
 
 namespace sdnbuf::sw {
 namespace {
@@ -95,6 +100,48 @@ TEST(FlowTable, AddOverwritesSameMatchAndPriority) {
   auto* e = table.lookup(packet_for_flow(0), 1, sim::SimTime::zero());
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(std::get<of::OutputAction>(e->actions[0]).port, 7);
+}
+
+TEST(FlowTable, SameExactMatchDifferentPriorities) {
+  // Two exact rules on one match at different priorities: both are live
+  // rules, the higher priority wins whichever was installed first, and the
+  // survivor stays reachable once the other is deleted.
+  for (const bool high_first : {false, true}) {
+    FlowTable table{16};
+    FlowEntry low = exact_entry(0, 1, 10);
+    low.cookie = 10;
+    FlowEntry high = exact_entry(0, 1, 200);
+    high.cookie = 200;
+    if (high_first) {
+      table.add(high, sim::SimTime::zero());
+      EXPECT_FALSE(table.add(low, sim::SimTime::zero()).replaced);
+    } else {
+      table.add(low, sim::SimTime::zero());
+      EXPECT_FALSE(table.add(high, sim::SimTime::zero()).replaced);
+    }
+    ASSERT_EQ(table.size(), 2u);
+    const auto* hit = table.lookup(packet_for_flow(0), 1, sim::SimTime::zero());
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->cookie, 200u) << "high_first=" << high_first;
+    ASSERT_NE(table.peek(packet_for_flow(0), 1), nullptr);
+    EXPECT_EQ(table.peek(packet_for_flow(0), 1)->cookie, 200u);
+
+    // Deleting the low-priority rule leaves the high one findable.
+    EXPECT_EQ(table.remove(low.match, 10, true).size(), 1u);
+    ASSERT_EQ(table.size(), 1u);
+    hit = table.lookup(packet_for_flow(0), 1, sim::SimTime::zero());
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->cookie, 200u);
+
+    // And the other way round: the low rule survives the high one's delete.
+    table.add(low, sim::SimTime::zero());
+    EXPECT_EQ(table.remove(high.match, 200, true).size(), 1u);
+    hit = table.lookup(packet_for_flow(0), 1, sim::SimTime::zero());
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->cookie, 10u);
+    EXPECT_EQ(table.remove(low.match, 10, true).size(), 1u);
+    EXPECT_EQ(table.lookup(packet_for_flow(0), 1, sim::SimTime::zero()), nullptr);
+  }
 }
 
 TEST(FlowTable, PeekDoesNotUpdateCounters) {
@@ -318,6 +365,219 @@ TEST_P(FlowTableCapacityTest, NeverExceedsCapacity) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, FlowTableCapacityTest,
                          ::testing::Values(1, 2, 10, 64, 99, 100, 1000));
+
+// --- differential test: incremental eviction order vs a naive table ---
+
+// The straightforward table the incremental one must reproduce: one list in
+// install order, the duplicate check and the LRU/FIFO victim as full scans
+// (first minimum in list order wins a tie), Random as a uniform position.
+// Lookup picks the highest-priority matching rule; the test below never
+// lets two rules that match one packet share a priority, so no further
+// tie-break is needed.
+class ReferenceTable {
+ public:
+  ReferenceTable(std::size_t capacity, EvictionPolicy policy, std::uint64_t seed)
+      : capacity_(capacity), policy_(policy), rng_(seed) {}
+
+  FlowTable::AddResult add(FlowEntry entry, sim::SimTime now) {
+    FlowTable::AddResult result;
+    entry.installed_at = now;
+    entry.last_used = now;
+    for (FlowEntry& e : entries_) {
+      if (e.match == entry.match && e.priority == entry.priority) {
+        e = std::move(entry);
+        result.replaced = true;
+        return result;
+      }
+    }
+    while (entries_.size() >= capacity_) {
+      const auto victim = find_victim();
+      result.evicted.push_back({std::move(*victim), of::FlowRemovedReason::Eviction});
+      entries_.erase(victim);
+    }
+    entries_.push_back(std::move(entry));
+    return result;
+  }
+
+  FlowEntry* lookup(const net::Packet& p, std::uint16_t in_port, sim::SimTime now) {
+    const of::Match exact = of::Match::exact_from(p, in_port);
+    FlowEntry* best = nullptr;
+    for (FlowEntry& e : entries_) {
+      const bool hit = e.match.wildcards == 0 ? e.match == exact : e.match.matches(p, in_port);
+      if (hit && (best == nullptr || e.priority > best->priority)) best = &e;
+    }
+    if (best != nullptr) {
+      best->last_used = now;
+      ++best->packet_count;
+      best->byte_count += p.frame_size;
+    }
+    return best;
+  }
+
+  std::vector<RemovedEntry> remove(const of::Match& match, std::optional<std::uint16_t> priority,
+                                   bool strict) {
+    return take_if([&](const FlowEntry& e) -> std::optional<of::FlowRemovedReason> {
+      const bool hit = strict ? (e.match == match && (!priority || e.priority == *priority))
+                              : match.subsumes(e.match);
+      if (!hit) return std::nullopt;
+      return of::FlowRemovedReason::Delete;
+    });
+  }
+
+  std::vector<RemovedEntry> expire(sim::SimTime now) {
+    return take_if([&](const FlowEntry& e) -> std::optional<of::FlowRemovedReason> {
+      if (e.hard_timeout_s != 0 && now - e.installed_at >= sim::SimTime::seconds(e.hard_timeout_s))
+        return of::FlowRemovedReason::HardTimeout;
+      if (e.idle_timeout_s != 0 && now - e.last_used >= sim::SimTime::seconds(e.idle_timeout_s))
+        return of::FlowRemovedReason::IdleTimeout;
+      return std::nullopt;
+    });
+  }
+
+  [[nodiscard]] std::vector<std::uint64_t> cookies() const {
+    std::vector<std::uint64_t> out;
+    for (const FlowEntry& e : entries_) out.push_back(e.cookie);
+    return out;
+  }
+
+ private:
+  std::list<FlowEntry>::iterator find_victim() {
+    auto victim = entries_.begin();
+    if (policy_ == EvictionPolicy::Random) {
+      std::advance(victim, static_cast<std::ptrdiff_t>(rng_.next_below(entries_.size())));
+      return victim;
+    }
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      const bool older = policy_ == EvictionPolicy::Lru ? it->last_used < victim->last_used
+                                                        : it->installed_at < victim->installed_at;
+      if (older) victim = it;
+    }
+    return victim;
+  }
+
+  template <typename Pred>
+  std::vector<RemovedEntry> take_if(Pred pred) {
+    std::vector<RemovedEntry> removed;
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      if (const auto reason = pred(*it)) {
+        removed.push_back({std::move(*it), *reason});
+        it = entries_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return removed;
+  }
+
+  std::size_t capacity_;
+  EvictionPolicy policy_;
+  util::Rng rng_;
+  std::list<FlowEntry> entries_;
+};
+
+std::string describe(const std::vector<RemovedEntry>& removed) {
+  std::string out;
+  for (const RemovedEntry& r : removed) {
+    out += std::to_string(r.entry.cookie) + ":" + std::to_string(static_cast<int>(r.reason)) + " ";
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> cookies_of(const FlowTable& table) {
+  std::vector<std::uint64_t> out;
+  for (const FlowEntry* e : table.entries()) out.push_back(e->cookie);
+  return out;
+}
+
+// Wildcard rule k (0..2) matches a /24 of sources, or everything (k == 2),
+// at a priority no exact rule and no other wildcard rule uses.
+FlowEntry wildcard_entry(unsigned k) {
+  FlowEntry e;
+  e.match = of::Match::wildcard_all();
+  if (k < 2) {
+    e.match.wildcards &= ~of::kWildcardDlType;
+    e.match.dl_type = 0x0800;
+    e.match.set_nw_src_ignored_bits(8);
+    e.match.nw_src = net::Ipv4Address{0x0a010000u + (k << 8)};
+  }
+  constexpr std::uint16_t kPriorities[] = {50, 300, 1};
+  e.priority = kPriorities[k];
+  e.actions = of::output_to(3);
+  return e;
+}
+
+class FlowTableDifferentialTest : public ::testing::TestWithParam<EvictionPolicy> {};
+
+TEST_P(FlowTableDifferentialTest, MatchesNaiveReference) {
+  const EvictionPolicy policy = GetParam();
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const std::size_t capacity = 4 + seed * 3;
+    FlowTable table{capacity, policy, seed};
+    ReferenceTable ref{capacity, policy, seed};
+    util::Rng rng(seed * 7919);
+    sim::SimTime now = sim::SimTime::zero();
+    std::uint64_t next_cookie = 1;
+    std::uint64_t evictions = 0;
+    for (int step = 0; step < 4000; ++step) {
+      SCOPED_TRACE("policy " + std::string(eviction_policy_name(policy)) + " seed " +
+                   std::to_string(seed) + " step " + std::to_string(step));
+      // Time: mostly forward, often a batch at the same instant, sometimes
+      // backwards (a caller with a stale clock).
+      const std::uint64_t clock = rng.next_below(10);
+      if (clock < 5) {
+        now += sim::SimTime::milliseconds(static_cast<std::int64_t>(1 + rng.next_below(80)));
+      } else if (clock == 9 && now > sim::SimTime::milliseconds(200)) {
+        now -= sim::SimTime::milliseconds(static_cast<std::int64_t>(1 + rng.next_below(200)));
+      }
+      // Flows 0..299: /24s 10.1.0.x (0..254) and 10.1.1.x; exact rules at
+      // priority 100 or 200 so one match can carry two rules.
+      const auto flow = static_cast<std::uint32_t>(rng.next_below(300));
+      const std::uint16_t priority = rng.next_below(2) == 0 ? 100 : 200;
+      const std::uint64_t op = rng.next_below(100);
+      if (op < 45) {
+        FlowEntry e = op < 40 ? exact_entry(flow, 1, priority)
+                              : wildcard_entry(static_cast<unsigned>(rng.next_below(3)));
+        e.cookie = next_cookie++;
+        if (rng.next_below(4) == 0) e.idle_timeout_s = 1;
+        if (rng.next_below(8) == 0) e.hard_timeout_s = 2;
+        const auto got = table.add(e, now);
+        const auto want = ref.add(e, now);
+        ASSERT_EQ(got.replaced, want.replaced);
+        ASSERT_EQ(describe(got.evicted), describe(want.evicted));
+        evictions += got.evicted.size();
+      } else if (op < 85) {
+        const FlowEntry* got = table.lookup(packet_for_flow(flow), 1, now);
+        const FlowEntry* want = ref.lookup(packet_for_flow(flow), 1, now);
+        ASSERT_EQ(got == nullptr, want == nullptr);
+        if (got != nullptr) {
+          ASSERT_EQ(got->cookie, want->cookie);
+        }
+      } else if (op < 91) {
+        const of::Match m = exact_entry(flow).match;
+        ASSERT_EQ(describe(table.remove(m, priority, true)), describe(ref.remove(m, priority, true)));
+      } else if (op < 94) {
+        // Non-strict: one exact match (every priority) or a whole /24.
+        const of::Match m = rng.next_below(2) == 0
+                                ? exact_entry(flow).match
+                                : wildcard_entry(static_cast<unsigned>(rng.next_below(2))).match;
+        ASSERT_EQ(describe(table.remove(m, std::nullopt, false)),
+                  describe(ref.remove(m, std::nullopt, false)));
+      } else {
+        ASSERT_EQ(describe(table.expire(now)), describe(ref.expire(now)));
+      }
+      ASSERT_EQ(cookies_of(table), ref.cookies());
+    }
+    EXPECT_EQ(table.evictions(), evictions);
+    EXPECT_GT(evictions, 500u) << "the operation mix must keep the table under pressure";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, FlowTableDifferentialTest,
+                         ::testing::Values(EvictionPolicy::Lru, EvictionPolicy::Fifo,
+                                           EvictionPolicy::Random),
+                         [](const auto& info) {
+                           return std::string(eviction_policy_name(info.param));
+                         });
 
 }  // namespace
 }  // namespace sdnbuf::sw

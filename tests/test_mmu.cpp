@@ -1,7 +1,7 @@
 // Tests for the shared-memory MMU (DESIGN.md §16): the sharing-policy
 // algebra (DT threshold monotonicity and fixed point, delay-driven alpha
 // steering), pool/queue accounting in SharedMemoryMmu, pool conservation
-// under data-plane faults, the StaticPartition byte-identity contract
+// under data-plane faults and through an observer tee, the StaticPartition byte-identity contract
 // against the MMU-off build, incast absorption by the dynamic policies, and
 // the egress high-water reset between experiment repetitions.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "core/fabric_testbed.hpp"
 #include "net/link.hpp"
 #include "obs/fabric_observatory.hpp"
+#include "obs/trace.hpp"
 #include "switchd/egress_scheduler.hpp"
 #include "switchd/mmu/mmu.hpp"
 #include "switchd/mmu/policy.hpp"
@@ -395,6 +396,60 @@ TEST(PoolConservation, HoldsUnderLinkFlapsAndSwitchCrash) {
     EXPECT_TRUE(registries[i]->ok()) << "switch " << i << ": " << registries[i]->report();
   }
   EXPECT_GT(events, 0u) << "observers saw no events (hooks unwired?)";
+}
+
+// --- observer fan-out keeps the MMU ledger ---
+
+TEST(PoolConservation, TeedRegistrySeesTheSameMmuStreamAsADirectOne) {
+  // A registry behind a TeeObserver (as when a tracer or the observatory
+  // shares the chain) must receive every MMU admit and release, or its pool
+  // ledger silently checks nothing.
+  const topo::Topology topology = topo::make_leaf_spine(2, 2, 4);
+  auto run = [&](bool teed) {
+    core::FabricExperimentConfig cfg;
+    cfg.topology = topology;
+    cfg.pattern = host::TrafficPattern::Incast;
+    cfg.mode = sw::BufferMode::PacketGranularity;
+    cfg.buffer_capacity = 16;
+    cfg.duration_s = 0.1;
+    cfg.flow_arrival_per_s = 600.0;
+    cfg.seed = 23;
+    cfg.fabric.switch_config.mmu.enabled = true;
+    cfg.fabric.switch_config.mmu.policy = sw::mmu::PolicyKind::DynamicThreshold;
+    cfg.fabric.switch_config.mmu.pool_cells = 256;
+    std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
+    std::vector<std::unique_ptr<obs::TeeObserver>> tees;
+    for (unsigned i = 0; i < topology.n_switches(); ++i) {
+      registries.push_back(std::make_unique<verify::InvariantRegistry>());
+      verify::InvariantObserver* observer = registries.back().get();
+      if (teed) {
+        tees.push_back(std::make_unique<obs::TeeObserver>(observer, nullptr));
+        observer = tees.back().get();
+      }
+      cfg.observers.push_back(observer);
+    }
+    const core::FabricExperimentResult r = core::run_fabric_experiment(cfg);
+    EXPECT_GT(r.packets_sent, 0u);
+    verify::InvariantRegistry::MmuTotals sum;
+    for (const auto& registry : registries) {
+      registry->finalize(/*expect_all_delivered=*/false);
+      EXPECT_TRUE(registry->ok()) << registry->report();
+      const auto& t = registry->mmu_totals();
+      sum.admits += t.admits;
+      sum.releases += t.releases;
+      sum.cells_admitted += t.cells_admitted;
+      sum.cells_released += t.cells_released;
+    }
+    return sum;
+  };
+  const auto direct = run(false);
+  const auto teed = run(true);
+  EXPECT_GT(direct.admits, 0u);
+  EXPECT_GT(direct.releases, 0u);
+  EXPECT_EQ(teed.admits, direct.admits);
+  EXPECT_EQ(teed.releases, direct.releases);
+  EXPECT_EQ(teed.cells_admitted, direct.cells_admitted);
+  EXPECT_EQ(teed.cells_released, direct.cells_released);
 }
 
 // --- egress high-water marks reset between repetitions ---
