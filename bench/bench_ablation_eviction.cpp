@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 
@@ -25,12 +25,12 @@ struct EvictionResult {
 };
 
 EvictionResult run_policy(sw::EvictionPolicy policy, std::uint64_t seed) {
-  core::TestbedConfig config;
+  core::FabricConfig config = core::chain_fabric(1);
   config.switch_config.buffer_mode = sw::BufferMode::PacketGranularity;
   config.switch_config.flow_table_capacity = 48;
   config.switch_config.eviction_policy = policy;
   config.seed = seed;
-  core::Testbed bed{config};
+  core::FabricTestbed bed{config};
   bed.warm_up();
 
   // 3000 packet arrivals: 70% drawn from 24 hot flows (fits in half the
@@ -48,18 +48,17 @@ EvictionResult run_policy(sw::EvictionPolicy policy, std::uint64_t seed) {
                                          500);
     p.flow_id = flow;
     bed.sim().schedule_at(bed.sim().now() + gap.scaled(i),
-                          [&bed, p]() { bed.inject_from_host1(p); });
+                          [&bed, p]() { bed.inject_from_host(0, p); });
   }
   bed.sim().run_until(bed.sim().now() + sim::SimTime::seconds(2));
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
 
   EvictionResult r;
-  r.pkt_ins = bed.ovs().counters().pkt_ins_sent;
-  r.evictions = bed.ovs().flow_table().evictions();
-  r.hit_rate_pct = 100.0 * static_cast<double>(bed.ovs().flow_table().hits()) /
-                   static_cast<double>(bed.ovs().flow_table().lookups());
+  r.pkt_ins = bed.switch_at(0).counters().pkt_ins_sent;
+  r.evictions = bed.switch_at(0).flow_table().evictions();
+  r.hit_rate_pct = 100.0 * static_cast<double>(bed.switch_at(0).flow_table().hits()) /
+                   static_cast<double>(bed.switch_at(0).flow_table().lookups());
   return r;
 }
 

@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "host/traffic_gen.hpp"
 #include "util/csv.hpp"
 
@@ -29,23 +29,25 @@ struct BaselineResult {
 
 BaselineResult run_strategy(bool proactive, sw::BufferMode mode, double rate,
                             std::uint64_t seed, int aggregate_src_bits = 0) {
-  core::TestbedConfig config;
+  core::FabricConfig config = core::chain_fabric(1);
   config.switch_config.buffer_mode = mode;
   config.controller_config.aggregate_src_bits = aggregate_src_bits;
   config.seed = seed;
-  core::Testbed bed{config};
+  metrics::DelayRecorder recorder;
+  core::FabricTestbed bed{config};
+  bed.set_delay_recorder(&recorder);
   bed.warm_up();
 
   if (proactive) {
     // One wildcard rule per direction, installed before any traffic — the
-    // DIFANE-style authority shortcut.
+    // DIFANE-style authority shortcut. Host1 is on port 1, Host2 on port 2.
     of::FlowMod fm;
     fm.match = of::Match::wildcard_all();
     fm.match.wildcards &= ~of::kWildcardInPort;
-    fm.match.in_port = core::Testbed::kHost1Port;
+    fm.match.in_port = 1;
     fm.priority = 10;
-    fm.actions = of::output_to(core::Testbed::kHost2Port);
-    bed.channel().send_from_controller(fm);
+    fm.actions = of::output_to(2);
+    bed.channel_at(0).send_from_controller(fm);
     bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(5));
   }
 
@@ -57,23 +59,22 @@ BaselineResult run_strategy(bool proactive, sw::BufferMode mode, double rate,
   traffic.src_ip_base = bed.host1_ip();
   traffic.dst_ip = bed.host2_ip();
   host::TrafficGenerator gen{bed.sim(), traffic, seed * 3 + 1,
-                             [&bed](const net::Packet& p) { bed.inject_from_host1(p); }};
+                             [&bed](const net::Packet& p) { bed.inject_from_host(0, p); }};
   const sim::SimTime start = bed.sim().now();
   gen.start();
-  while (bed.sink2().packets_received() < gen.total_packets() &&
+  while (bed.sink_at(1).packets_received() < gen.total_packets() &&
          bed.sim().now() < start + sim::SimTime::seconds(10)) {
     bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(20));
   }
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
 
   BaselineResult r;
-  const sim::SimTime end = bed.sink2().last_arrival();
-  r.up_mbps = bed.to_controller_link().tap().load_mbps(start, end);
-  const auto delays = bed.recorder().finalize();
+  const sim::SimTime end = bed.sink_at(1).last_arrival();
+  r.up_mbps = bed.control_link_at(0).forward().tap().load_mbps(start, end);
+  const auto delays = recorder.finalize();
   r.setup_ms = delays.setup_ms.count() > 0 ? delays.setup_ms.mean() : 0.0;
-  r.pkt_ins = bed.ovs().counters().pkt_ins_sent;
+  r.pkt_ins = bed.switch_at(0).counters().pkt_ins_sent;
   // Per-flow rules = exact-match entries the reactive controller installed.
   r.per_flow_rules = bed.controller().counters().flow_mods_sent;
   return r;

@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/chain_testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "host/traffic_gen.hpp"
 #include "util/csv.hpp"
 
@@ -24,11 +24,10 @@ struct ChainResult {
 };
 
 ChainResult run_chain(unsigned hops, sw::BufferMode mode, std::uint64_t seed) {
-  core::ChainConfig config;
-  config.n_switches = hops;
+  core::FabricConfig config = core::chain_fabric(hops);
   config.switch_config.buffer_mode = mode;
   config.seed = seed;
-  core::ChainTestbed bed{config};
+  core::FabricTestbed bed{config};
   bed.warm_up();
 
   host::TrafficConfig traffic;
@@ -39,11 +38,11 @@ ChainResult run_chain(unsigned hops, sw::BufferMode mode, std::uint64_t seed) {
   traffic.src_ip_base = bed.host1_ip();
   traffic.dst_ip = bed.host2_ip();
   host::TrafficGenerator gen{bed.sim(), traffic, seed * 3 + 1,
-                             [&bed](const net::Packet& p) { bed.inject_from_host1(p); }};
+                             [&bed](const net::Packet& p) { bed.inject_from_host(0, p); }};
   gen.start();
   const sim::SimTime deadline = bed.sim().now() + sim::SimTime::seconds(10);
   while (bed.sim().now() < deadline &&
-         bed.sink2().packets_received() < gen.total_packets()) {
+         bed.sink_at(1).packets_received() < gen.total_packets()) {
     bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(20));
   }
   bed.stop();
@@ -52,8 +51,8 @@ ChainResult run_chain(unsigned hops, sw::BufferMode mode, std::uint64_t seed) {
   ChainResult r;
   r.pkt_ins = bed.total_pkt_ins();
   r.control_bytes = bed.total_control_bytes();
-  r.first_packet_ms = bed.sink2().latency_ms().mean();  // 1 packet per flow
-  r.delivered = bed.sink2().packets_received();
+  r.first_packet_ms = bed.sink_at(1).latency_ms().mean();  // 1 packet per flow
+  r.delivered = bed.sink_at(1).packets_received();
   return r;
 }
 

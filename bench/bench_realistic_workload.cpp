@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "common.hpp"
-#include "core/testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "host/synthetic_workload.hpp"
 #include "util/csv.hpp"
 
@@ -29,10 +29,10 @@ struct WorkloadResult {
 };
 
 WorkloadResult run_mechanism(sw::BufferMode mode, double arrivals_per_s, std::uint64_t seed) {
-  core::TestbedConfig config;
+  core::FabricConfig config = core::chain_fabric(1);
   config.switch_config.buffer_mode = mode;
   config.seed = seed;
-  core::Testbed bed{config};
+  core::FabricTestbed bed{config};
   bed.warm_up();
 
   host::WorkloadConfig workload;
@@ -47,26 +47,25 @@ WorkloadResult run_mechanism(sw::BufferMode mode, double arrivals_per_s, std::ui
   workload.src_ip_base = bed.host1_ip();
   workload.dst_ip = bed.host2_ip();
   host::SyntheticWorkload gen{bed.sim(), workload, seed * 5 + 3,
-                              [&bed](const net::Packet& p) { bed.inject_from_host1(p); }};
+                              [&bed](const net::Packet& p) { bed.inject_from_host(0, p); }};
   const sim::SimTime start = bed.sim().now();
   gen.start();
   // Run until everything injected has drained (arrivals stop at 0.5 s).
   while (bed.sim().now() < start + sim::SimTime::seconds(3) &&
-         (bed.sink2().packets_received() < gen.packets_emitted() ||
+         (bed.sink_at(1).packets_received() < gen.packets_emitted() ||
           bed.sim().now() < start + sim::SimTime::from_seconds(workload.duration_s))) {
     bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(20));
   }
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
 
   WorkloadResult r;
   r.flows = gen.flows_started();
   r.packets = gen.packets_emitted();
-  r.pkt_ins = bed.ovs().counters().pkt_ins_sent;
-  r.delivered = bed.sink2().packets_received();
-  const sim::SimTime end = bed.sink2().last_arrival();
-  if (end > start) r.up_mbps = bed.to_controller_link().tap().load_mbps(start, end);
+  r.pkt_ins = bed.switch_at(0).counters().pkt_ins_sent;
+  r.delivered = bed.sink_at(1).packets_received();
+  const sim::SimTime end = bed.sink_at(1).last_arrival();
+  if (end > start) r.up_mbps = bed.control_link_at(0).forward().tap().load_mbps(start, end);
   r.p50_flow_size = gen.flow_sizes().median();
   r.p99_flow_size = gen.flow_sizes().percentile(99);
   return r;

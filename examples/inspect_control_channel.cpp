@@ -6,7 +6,7 @@
 //   ./inspect_control_channel [--flows 3] [--packets 4] [--filter packet_in]
 #include <iostream>
 
-#include "core/testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "host/traffic_gen.hpp"
 #include "openflow/capture.hpp"
 #include "util/cli.hpp"
@@ -25,15 +25,15 @@ int main(int argc, char** argv) {
   const std::string filter = flags.get_string("filter", "");
   const std::string mode_name = flags.get_string("mode", "flow");
 
-  core::TestbedConfig config;
+  core::FabricConfig config = core::chain_fabric(1);
   config.switch_config.buffer_mode = mode_name == "no-buffer"
                                          ? sw::BufferMode::NoBuffer
                                      : mode_name == "packet"
                                          ? sw::BufferMode::PacketGranularity
                                          : sw::BufferMode::FlowGranularity;
-  core::Testbed bed{config};
+  core::FabricTestbed bed{config};
   of::ChannelCapture capture;
-  capture.attach(bed.channel());
+  capture.attach(bed.channel_at(0));
   bed.warm_up();
   capture.clear();  // keep only the measured workload in the trace
 
@@ -48,11 +48,10 @@ int main(int argc, char** argv) {
   traffic.src_ip_base = bed.host1_ip();
   traffic.dst_ip = bed.host2_ip();
   host::TrafficGenerator gen{bed.sim(), traffic, 7,
-                             [&bed](const net::Packet& p) { bed.inject_from_host1(p); }};
+                             [&bed](const net::Packet& p) { bed.inject_from_host(0, p); }};
   gen.start();
   bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(200));
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
 
   std::cout << "== control-channel capture: " << sw::buffer_mode_name(config.switch_config.buffer_mode)
@@ -62,6 +61,6 @@ int main(int argc, char** argv) {
             << " msgs / " << capture.total_bytes(of::Direction::ToController)
             << " B up,  " << capture.total_messages(of::Direction::ToSwitch) << " msgs / "
             << capture.total_bytes(of::Direction::ToSwitch) << " B down;  delivered "
-            << bed.sink2().packets_received() << '/' << gen.total_packets() << " packets\n";
+            << bed.sink_at(1).packets_received() << '/' << gen.total_packets() << " packets\n";
   return 0;
 }

@@ -13,7 +13,7 @@
 //   ./tcp_rule_eviction [--table 8] [--burst 16]
 #include <iostream>
 
-#include "core/testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 
@@ -31,10 +31,12 @@ struct Result {
 };
 
 Result run_scenario(sw::BufferMode mode, std::size_t table_capacity, std::uint32_t burst) {
-  core::TestbedConfig config;
+  core::FabricConfig config = core::chain_fabric(1);
   config.switch_config.buffer_mode = mode;
   config.switch_config.flow_table_capacity = table_capacity;
-  core::Testbed bed{config};
+  metrics::DelayRecorder recorder;
+  core::FabricTestbed bed{config};
+  bed.set_delay_recorder(&recorder);
   bed.warm_up();
   Result r;
 
@@ -54,17 +56,17 @@ Result run_scenario(sw::BufferMode mode, std::size_t table_capacity, std::uint32
   auto settle = [&bed]() { bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(20)); };
 
   // --- Three-way handshake: SYN, SYN|ACK, ACK (small frames). ---
-  bed.inject_from_host1(tcp(net::kTcpSyn, 74, 0, true));
+  bed.inject_from_host(0, tcp(net::kTcpSyn, 74, 0, true));
   settle();
-  bed.inject_from_host2(tcp(net::kTcpSyn | net::kTcpAck, 74, 0, false));
+  bed.inject_from_host(1, tcp(net::kTcpSyn | net::kTcpAck, 74, 0, false));
   settle();
-  bed.inject_from_host1(tcp(net::kTcpAck, 66, 1, true));
+  bed.inject_from_host(0, tcp(net::kTcpAck, 66, 1, true));
   settle();
-  r.pkt_ins_handshake = bed.ovs().counters().pkt_ins_sent;
+  r.pkt_ins_handshake = bed.switch_at(0).counters().pkt_ins_sent;
 
   // --- Initial data transfer: the rule is hot, everything forwards. ---
   for (std::uint32_t i = 0; i < 8; ++i) {
-    bed.inject_from_host1(tcp(net::kTcpAck | net::kTcpPsh, 1000, 2 + i, true));
+    bed.inject_from_host(0, tcp(net::kTcpAck | net::kTcpPsh, 1000, 2 + i, true));
     bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(1));
   }
   settle();
@@ -76,32 +78,32 @@ Result run_scenario(sw::BufferMode mode, std::size_t table_capacity, std::uint32
                                          net::Ipv4Address{0x0a016400u + f}, bed.host2_ip(),
                                          static_cast<std::uint16_t>(30000 + f), 9, 200);
     p.flow_id = metrics::kUntrackedFlow;
-    bed.inject_from_host1(p);
+    bed.inject_from_host(0, p);
     bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(2));
   }
   settle();
-  r.evictions = bed.ovs().flow_table().evictions();
+  r.evictions = bed.switch_at(0).flow_table().evictions();
 
   // --- Resumption burst: full-size segments, rule gone -> misses again. ---
-  const std::uint64_t pkt_ins_before = bed.ovs().counters().pkt_ins_sent;
-  const std::uint64_t bytes_before = bed.to_controller_link().tap().bytes();
+  const std::uint64_t pkt_ins_before = bed.switch_at(0).counters().pkt_ins_sent;
+  const std::uint64_t bytes_before = bed.control_link_at(0).forward().tap().bytes();
   const sim::SimTime resume_start = bed.sim().now();
   for (std::uint32_t i = 0; i < burst; ++i) {
     net::Packet p = tcp(net::kTcpAck | net::kTcpPsh, 1000, 100 + i, true);
     bed.sim().schedule_at(resume_start + sim::SimTime::microseconds(84 * i),
                           [&bed, p]() mutable {
                             p.created_at = bed.sim().now();
-                            bed.inject_from_host1(p);
+                            bed.inject_from_host(0, p);
                           });
   }
   bed.sim().run_until(bed.sim().now() + sim::SimTime::seconds(1));
-  bed.ovs().stop();
+  bed.switch_at(0).stop();
   bed.sim().run();
 
-  r.pkt_ins_resume = bed.ovs().counters().pkt_ins_sent - pkt_ins_before;
-  r.control_bytes_resume = bed.to_controller_link().tap().bytes() - bytes_before;
-  r.delivered = bed.sink2().packets_received();
-  const auto* rec = bed.recorder().record(1);
+  r.pkt_ins_resume = bed.switch_at(0).counters().pkt_ins_sent - pkt_ins_before;
+  r.control_bytes_resume = bed.control_link_at(0).forward().tap().bytes() - bytes_before;
+  r.delivered = bed.sink_at(1).packets_received();
+  const auto* rec = recorder.record(1);
   if (rec != nullptr && rec->last_departure) {
     r.resume_latency_ms = (*rec->last_departure - resume_start).ms();
   }

@@ -9,7 +9,7 @@
 //   ./udp_burst [--packets 32] [--rate 95]
 #include <iostream>
 
-#include "core/testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 
@@ -28,10 +28,12 @@ struct BurstResult {
 };
 
 BurstResult run_burst(sw::BufferMode mode, std::uint32_t packets, double rate_mbps) {
-  core::TestbedConfig config;
+  core::FabricConfig config = core::chain_fabric(1);
   config.switch_config.buffer_mode = mode;
   config.switch_config.buffer_capacity = 256;
-  core::Testbed bed{config};
+  metrics::DelayRecorder recorder;
+  core::FabricTestbed bed{config};
+  bed.set_delay_recorder(&recorder);
   bed.warm_up();
 
   // One flow, `packets` back-to-back frames at the given rate.
@@ -44,18 +46,18 @@ BurstResult run_burst(sw::BufferMode mode, std::uint32_t packets, double rate_mb
     p.flow_id = 1;
     p.seq_in_flow = i;
     p.created_at = start + gap.scaled(i);
-    bed.sim().schedule_at(p.created_at, [&bed, p]() { bed.inject_from_host1(p); });
+    bed.sim().schedule_at(p.created_at, [&bed, p]() { bed.inject_from_host(0, p); });
   }
   bed.sim().run_until(bed.sim().now() + sim::SimTime::seconds(2));
-  bed.ovs().stop();
+  bed.switch_at(0).stop();
   bed.sim().run();
 
   BurstResult r;
-  r.pkt_ins = bed.ovs().counters().pkt_ins_sent;
-  r.control_bytes_up = bed.to_controller_link().tap().bytes();
-  r.control_bytes_down = bed.to_switch_link().tap().bytes();
-  r.delivered = bed.sink2().packets_received();
-  const auto* rec = bed.recorder().record(1);
+  r.pkt_ins = bed.switch_at(0).counters().pkt_ins_sent;
+  r.control_bytes_up = bed.control_link_at(0).forward().tap().bytes();
+  r.control_bytes_down = bed.control_link_at(0).reverse().tap().bytes();
+  r.delivered = bed.sink_at(1).packets_received();
+  const auto* rec = recorder.record(1);
   if (rec != nullptr && rec->first_departure && rec->last_departure) {
     r.first_delivery_ms = (*rec->first_departure - start).ms();
     r.last_delivery_ms = (*rec->last_departure - start).ms();
@@ -64,7 +66,7 @@ BurstResult run_burst(sw::BufferMode mode, std::uint32_t packets, double rate_mb
   // is implied by FIFO links if no packet overtook another inside the
   // switch, which the flow-granularity release guarantees.
   for (std::uint32_t i = 0; i < packets; ++i) {
-    if (bed.sink2().flow_packets(1) != packets) r.in_order = false;
+    if (bed.sink_at(1).flow_packets(1) != packets) r.in_order = false;
   }
   return r;
 }

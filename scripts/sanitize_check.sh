@@ -68,10 +68,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L model
 # pool-accounting hot path (admission, split release, pool-conservation
 # invariant) under a sampled policy/pool/alpha, under the sanitizers.
 "$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED" --force-mmu
+# Combined pass: channel faults armed on every control channel of a fabric
+# that also runs link flaps and the MMU, so the control- and data-plane
+# fault planes compose under the sanitizers.
+"$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED" --force-faults \
+  --force-fabric --force-link-faults --force-mmu
 # Eighth pass with FIFO eviction forced on a small flow table: rules are
 # evicted out of the table's incremental victim order while packets wait in
 # the buffers, under the sanitizers. Fixed seed and budget (the CI smoke's).
 "$BUILD_DIR/tests/fuzz_scenarios" --runs 20 --seed 7000 --force-eviction fifo
+# Golden results: every deterministic results/ file regenerates
+# byte-identical from the sanitized build (written to a temp dir).
+"$SRC_DIR/scripts/check_goldens.sh" "$BUILD_DIR" "$(nproc)"
 # Data-fault unit/integration suite, explicitly (it is part of ctest above,
 # but run it by name so a label change can't silently drop the coverage).
 "$BUILD_DIR/tests/test_data_fault"
@@ -95,4 +103,4 @@ export TSAN_OPTIONS="halt_on_error=1"
 # pass too.
 "$TSAN_DIR/tests/test_mmu"
 
-echo "sanitize_check: OK (7 x ${FUZZ_RUNS} scenarios x 3 modes, seed ${FUZZ_SEED}; 20 forced-FIFO; TSan clean)"
+echo "sanitize_check: OK (8 x ${FUZZ_RUNS} scenarios x 3 modes, seed ${FUZZ_SEED}; 20 forced-FIFO; goldens; TSan clean)"

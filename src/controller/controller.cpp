@@ -131,9 +131,8 @@ void Controller::set_invariant_observer_for(std::uint64_t datapath_id,
 }
 
 verify::InvariantObserver* Controller::observer_for(std::uint64_t datapath_id) {
-  const auto it = switches_.find(datapath_id);
-  if (it != switches_.end() && it->second.observer != nullptr) return it->second.observer;
-  return observer_;
+  const SwitchBinding* b = find_binding(datapath_id);
+  return b == nullptr ? nullptr : b->observer;
 }
 
 void Controller::enable_flow_monitor(const FlowMonitorConfig& config) {

@@ -206,13 +206,10 @@ class Controller {
     outstanding_stats_.clear();
   }
 
-  // Invariant-checking observer (owned by the caller; may be null). Reports
-  // fault-injected packet_in drops so conservation accounting stays closed.
-  void set_invariant_observer(verify::InvariantObserver* observer) { observer_ = observer; }
-
-  // Per-switch observer override for fabrics running one registry per
-  // switch: events for `datapath_id` route here, others fall back to the
-  // global observer.
+  // Invariant-checking observer for `datapath_id` (owned by the caller; may
+  // be null): one registry per switch, since xids and buffer_ids are
+  // per-switch namespaces. Reports fault-injected packet_in drops so
+  // conservation accounting stays closed.
   void set_invariant_observer_for(std::uint64_t datapath_id, verify::InvariantObserver* observer);
 
   // Metrics instruments (default-null bundle = disabled).
@@ -297,7 +294,6 @@ class Controller {
   RouteInstallMode route_mode_ = RouteInstallMode::PerHopReactive;
   std::vector<InstalledRule> installed_rules_;
   ControllerCounters counters_;
-  verify::InvariantObserver* observer_ = nullptr;
   obs::ControllerInstruments instr_;
   std::unique_ptr<FlowMonitor> monitor_;
   // Stats requests awaiting a reply, keyed (datapath_id, xid). Replies erase

@@ -11,11 +11,15 @@ namespace sdnbuf::core {
 
 namespace {
 
+// The paper rig's ports: Host1 on port 1, Host2 on port 2 (chain_fabric).
+constexpr std::uint16_t kHost1Port = 1;
+constexpr std::uint16_t kHost2Port = 2;
+
 // Registers the per-component instruments and poll gauges into `registry`
 // and installs the instrument bundles. Called after warm-up so histograms
 // record only the measurement window. Poll callbacks reference the testbed;
 // the caller clears them (clear_polls) before the testbed dies.
-void install_metrics(obs::MetricsRegistry& registry, Testbed& bed,
+void install_metrics(obs::MetricsRegistry& registry, FabricTestbed& bed,
                      const ExperimentConfig& config) {
   registry.set_meta("mechanism", sw::buffer_mode_name(config.mode));
   registry.set_meta("rate_mbps", util::format_double(config.rate_mbps, 6));
@@ -23,18 +27,20 @@ void install_metrics(obs::MetricsRegistry& registry, Testbed& bed,
   registry.set_meta("snapshot_interval_ms",
                     util::format_double(config.metrics_interval.ms(), 6));
 
+  sw::Switch& ovs = bed.switch_at(0);
+  of::Channel& channel = bed.channel_at(0);
   obs::SwitchInstruments si;
   si.pkt_in_bytes = &registry.histogram("switch.pkt_in_bytes", 16.0);
-  bed.ovs().set_instruments(si);
+  ovs.set_instruments(si);
 
   obs::BufferInstruments bi;
   bi.residency_ms = &registry.histogram("buffer.residency_ms", 0.125);
-  bed.ovs().set_buffer_instruments(bi);
+  ovs.set_buffer_instruments(bi);
 
   obs::ChannelInstruments chi;
   chi.wire_bytes_to_controller = &registry.histogram("channel.wire_bytes_to_controller", 16.0);
   chi.wire_bytes_to_switch = &registry.histogram("channel.wire_bytes_to_switch", 16.0);
-  bed.channel().set_instruments(chi);
+  channel.set_instruments(chi);
 
   obs::ControllerInstruments ci;
   ci.pkt_in_bytes = &registry.histogram("controller.pkt_in_bytes", 16.0);
@@ -42,40 +48,40 @@ void install_metrics(obs::MetricsRegistry& registry, Testbed& bed,
 
   obs::EgressInstruments ei;
   ei.queue_depth = &registry.histogram("egress.queue_depth", 1.0);
-  bed.ovs().port_scheduler(Testbed::kHost1Port).set_instruments(ei);
-  bed.ovs().port_scheduler(Testbed::kHost2Port).set_instruments(ei);
+  ovs.port_scheduler(kHost1Port).set_instruments(ei);
+  ovs.port_scheduler(kHost2Port).set_instruments(ei);
 
   // Poll gauges: sampled only at snapshot instants, so the repo's existing
   // statistics become time series at zero hot-path cost. The occupancy
   // columns are Fig. 8 / Fig. 13 over time instead of end-of-run scalars.
-  registry.register_poll("buffer.units_in_use", [&bed]() {
-    const auto* occ = bed.ovs().buffer_occupancy();
+  registry.register_poll("buffer.units_in_use", [&ovs]() {
+    const auto* occ = ovs.buffer_occupancy();
     return occ == nullptr ? 0.0 : static_cast<double>(occ->current());
   });
-  registry.register_poll("buffer.occupancy_twa", [&bed]() {
-    const auto* occ = bed.ovs().buffer_occupancy();
+  registry.register_poll("buffer.occupancy_twa", [&ovs, &bed]() {
+    const auto* occ = ovs.buffer_occupancy();
     return occ == nullptr ? 0.0 : occ->time_weighted_mean(bed.sim().now());
   });
-  registry.register_poll("buffer.occupancy_max", [&bed]() {
-    const auto* occ = bed.ovs().buffer_occupancy();
+  registry.register_poll("buffer.occupancy_max", [&ovs]() {
+    const auto* occ = ovs.buffer_occupancy();
     return occ == nullptr ? 0.0 : static_cast<double>(occ->max());
   });
-  registry.register_poll("switch.pkt_ins_sent", [&bed]() {
-    return static_cast<double>(bed.ovs().counters().pkt_ins_sent);
+  registry.register_poll("switch.pkt_ins_sent", [&ovs]() {
+    return static_cast<double>(ovs.counters().pkt_ins_sent);
   });
-  registry.register_poll("channel.to_controller_msgs", [&bed]() {
-    return static_cast<double>(bed.channel().to_controller_counters().total_count());
+  registry.register_poll("channel.to_controller_msgs", [&channel]() {
+    return static_cast<double>(channel.to_controller_counters().total_count());
   });
   registry.register_poll("sink.packets_delivered", [&bed]() {
-    return static_cast<double>(bed.sink2().packets_received());
+    return static_cast<double>(bed.sink_at(1).packets_received());
   });
   // True per-port high-water marks (updated at every enqueue), alongside the
   // polled egress.queue_depth gauge which can alias past transient bursts.
-  registry.register_poll("egress.highwater_packets.port1", [&bed]() {
-    return static_cast<double>(bed.ovs().port_scheduler(Testbed::kHost1Port).highwater_packets());
+  registry.register_poll("egress.highwater_packets.port1", [&ovs]() {
+    return static_cast<double>(ovs.port_scheduler(kHost1Port).highwater_packets());
   });
-  registry.register_poll("egress.highwater_packets.port2", [&bed]() {
-    return static_cast<double>(bed.ovs().port_scheduler(Testbed::kHost2Port).highwater_packets());
+  registry.register_poll("egress.highwater_packets.port2", [&ovs]() {
+    return static_cast<double>(ovs.port_scheduler(kHost2Port).highwater_packets());
   });
   if (config.observatory != nullptr) config.observatory->install_metrics(registry);
 }
@@ -83,45 +89,36 @@ void install_metrics(obs::MetricsRegistry& registry, Testbed& bed,
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
-  TestbedConfig tb = config.testbed;
-  tb.seed = config.seed;
-  tb.switch_config.buffer_mode = config.mode;
-  tb.switch_config.buffer_capacity = config.buffer_capacity;
-  tb.observer = config.observer;
+  FabricConfig fc = config.testbed;
+  SDNBUF_CHECK_MSG(fc.topology.n_switches() == 1 && fc.topology.n_hosts() == 2,
+                   "run_experiment needs the one-switch, two-host rig (chain_fabric(1))");
+  SDNBUF_CHECK_MSG(fc.routing == FabricRouting::L2Learning,
+                   "run_experiment needs L2-learning routing");
+  SDNBUF_CHECK_MSG(fc.shards <= 1, "run_experiment runs on the sequential engine (shards <= 1)");
+  fc.seed = config.seed;
+  fc.switch_config.buffer_mode = config.mode;
+  fc.switch_config.buffer_capacity = config.buffer_capacity;
+  fc.observatory = config.observatory;
 
   // The tracer rides the same observation points as the invariant checker;
   // tee only when both are wanted (the tee lives on this frame, outliving
   // the bed) — a lone tracer is wired directly, skipping a dispatch hop.
   obs::TeeObserver tee{config.observer, config.tracer};
+  verify::InvariantObserver* observer = config.observer;
   if (config.tracer != nullptr) {
-    tb.observer = config.observer != nullptr ? static_cast<verify::InvariantObserver*>(&tee)
-                                             : config.tracer;
+    observer = config.observer != nullptr ? static_cast<verify::InvariantObserver*>(&tee)
+                                          : config.tracer;
   }
+  fc.observers.clear();
+  if (observer != nullptr) fc.observers.push_back(observer);
 
-  // Drop-attribution ledger: a FateObserver adapter joins the observer chain
-  // (injections + terminal fates); deliveries arrive via the sink taps below
-  // so duplicates collapse to one first-copy delivery per payload.
-  std::optional<obs::FateObserver> fate;
-  std::optional<obs::TeeObserver> fate_tee;
-  if (config.observatory != nullptr) {
-    fate.emplace(*config.observatory, "s1", /*endpoint_injections=*/true);
-    if (tb.observer != nullptr) {
-      fate_tee.emplace(tb.observer, &*fate);
-      tb.observer = &*fate_tee;
-    } else {
-      tb.observer = &*fate;
-    }
-  }
-
-  Testbed bed{tb};
-  if (config.observatory != nullptr) {
-    auto tap = [obsy = config.observatory](const net::Packet& p, sim::SimTime now) {
-      obsy->on_delivered(p, now);
-    };
-    bed.sink1().set_telemetry_tap(tap);
-    bed.sink2().set_telemetry_tap(tap);
-  }
-  if (config.capture != nullptr) config.capture->attach(bed.channel());
+  metrics::DelayRecorder recorder;
+  FabricTestbed bed{fc};
+  sw::Switch& ovs = bed.switch_at(0);
+  of::Channel& channel = bed.channel_at(0);
+  host::HostSink& sink2 = bed.sink_at(1);
+  bed.set_delay_recorder(&recorder);
+  if (config.capture != nullptr) config.capture->attach(channel);
   if (config.profiler != nullptr) bed.sim().set_profile_sink(config.profiler);
   bed.warm_up();
 
@@ -140,13 +137,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   traffic.order = config.order;
   traffic.batch_size = config.batch_size;
   traffic.tcp_flow_fraction = config.tcp_flow_fraction;
-  traffic.src_mac = bed.host1_mac();
-  traffic.dst_mac = bed.host2_mac();
-  traffic.src_ip_base = bed.host1_ip();
-  traffic.dst_ip = bed.host2_ip();
+  traffic.src_mac = FabricTestbed::host1_mac();
+  traffic.dst_mac = FabricTestbed::host2_mac();
+  traffic.src_ip_base = FabricTestbed::host1_ip();
+  traffic.dst_ip = FabricTestbed::host2_ip();
 
   host::TrafficGenerator gen{bed.sim(), traffic, config.seed * 7919u + 3,
-                             [&bed](const net::Packet& p) { bed.inject_from_host1(p); }};
+                             [&bed](const net::Packet& p) { bed.inject_from_host(0, p); }};
   gen.start();
 
   const std::uint64_t expected = gen.total_packets();
@@ -156,7 +153,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 
   // Run in slices so we can stop as soon as everything is delivered.
   const sim::SimTime slice = sim::SimTime::milliseconds(20);
-  while (bed.sim().now() < deadline && bed.sink2().packets_received() < expected) {
+  while (bed.sim().now() < deadline && sink2.packets_received() < expected) {
     bed.sim().run_until(std::min(bed.sim().now() + slice, deadline));
   }
   // Let in-flight control traffic settle, then stop housekeeping and drain.
@@ -164,8 +161,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // out of events.
   bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(50));
   if (snapshotter) snapshotter->stop();
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
   if (config.tracer != nullptr) config.tracer->finalize(bed.sim().now());
   if (config.metrics != nullptr) {
@@ -174,30 +170,29 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
 
   const sim::SimTime t0 = bed.measurement_start();
-  const sim::SimTime t1 =
-      bed.sink2().last_arrival() > t0 ? bed.sink2().last_arrival() : bed.sim().now();
+  const sim::SimTime t1 = sink2.last_arrival() > t0 ? sink2.last_arrival() : bed.sim().now();
 
   ExperimentResult r;
   r.duration_s = (t1 - t0).sec();
-  r.to_controller_mbps = bed.to_controller_link().tap().load_mbps(t0, t1);
-  r.to_switch_mbps = bed.to_switch_link().tap().load_mbps(t0, t1);
+  r.to_controller_mbps = bed.control_link_at(0).forward().tap().load_mbps(t0, t1);
+  r.to_switch_mbps = bed.control_link_at(0).reverse().tap().load_mbps(t0, t1);
   r.controller_cpu_pct = bed.controller().cpu().utilization_percent(t0, t1);
-  r.switch_cpu_pct = bed.ovs().cpu().utilization_percent(t0, t1);
-  r.bus_utilization_pct = bed.ovs().bus().utilization_percent(t0, t1);
+  r.switch_cpu_pct = ovs.cpu().utilization_percent(t0, t1);
+  r.bus_utilization_pct = ovs.bus().utilization_percent(t0, t1);
 
-  const auto delays = bed.recorder().finalize();
+  const auto delays = recorder.finalize();
   r.setup_ms = delays.setup_ms;
   r.controller_ms = delays.controller_ms;
   r.switch_ms = delays.switch_ms;
   r.forwarding_ms = delays.forwarding_ms;
   r.flows_complete = delays.flows_complete;
 
-  if (const auto* occ = bed.ovs().buffer_occupancy(); occ != nullptr) {
+  if (const auto* occ = ovs.buffer_occupancy(); occ != nullptr) {
     r.buffer_avg_units = occ->time_weighted_mean(t1);
     r.buffer_max_units = static_cast<double>(occ->max());
   }
 
-  const auto& sc = bed.ovs().counters();
+  const auto& sc = ovs.counters();
   r.pkt_ins_sent = sc.pkt_ins_sent;
   r.full_frame_pkt_ins = sc.full_frame_pkt_ins;
   r.resend_pkt_ins = sc.resend_pkt_ins;
@@ -207,7 +202,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   r.stats_requests = cc.stats_requests_sent;
   r.pkt_ins_dropped = cc.pkt_ins_dropped;
   r.int_stamps = sc.int_stamps_applied;
-  if (const auto* mmu = bed.ovs().mmu(); mmu != nullptr) {
+  if (const auto* mmu = ovs.mmu(); mmu != nullptr) {
     r.mmu_rejected = mmu->total_rejected();
     r.mmu_peak_pool_cells = mmu->peak_pool_cells();
   }
@@ -215,8 +210,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // cost is part of what the overhead benchmark charges telemetry for.
   if (config.observatory != nullptr) config.observatory->flush();
 
-  const auto& up = bed.channel().to_controller_counters();
-  const auto& down = bed.channel().to_switch_counters();
+  const auto& up = channel.to_controller_counters();
+  const auto& down = channel.to_switch_counters();
   r.to_controller_msgs = up.total_count();
   r.to_switch_msgs = down.total_count();
   r.to_controller_bytes = up.total_bytes();
@@ -227,10 +222,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   r.error_msgs = up.count(of::MsgType::Error) + down.count(of::MsgType::Error);
   r.flow_samples = up.count(of::MsgType::Vendor);
 
-  const auto& fc = bed.channel().fault_counters();
-  r.channel_lost_msgs = fc.total_lost();
-  r.channel_duplicated_msgs = fc.total_duplicated();
-  r.channel_outage_dropped_msgs = fc.total_outage_dropped();
+  const auto& faults = channel.fault_counters();
+  r.channel_lost_msgs = faults.total_lost();
+  r.channel_duplicated_msgs = faults.total_duplicated();
+  r.channel_outage_dropped_msgs = faults.total_outage_dropped();
   r.connection_losses = sc.connection_losses;
   r.reconnects = sc.reconnects;
   r.failsecure_dropped = sc.failsecure_dropped;
@@ -238,13 +233,13 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   r.resend_cap_expired = sc.resend_cap_expired;
   r.reconcile_rerequests = sc.reconcile_rerequests;
   r.reconcile_expired = sc.reconcile_expired;
-  if (bed.ovs().last_restored_at() > t0) {
-    r.last_reconnect_s = (bed.ovs().last_restored_at() - t0).sec();
+  if (ovs.last_restored_at() > t0) {
+    r.last_reconnect_s = (ovs.last_restored_at() - t0).sec();
   }
 
   r.packets_sent = gen.packets_emitted();
-  r.packets_delivered = bed.sink2().packets_received();
-  r.duplicates = bed.sink2().duplicate_packets();
+  r.packets_delivered = sink2.packets_received();
+  r.duplicates = sink2.duplicate_packets();
   r.drained = r.packets_delivered >= expected;
   return r;
 }

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <string>
 
-#include "core/testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "host/traffic_gen.hpp"
 #include "obs/fabric_observatory.hpp"
 #include "obs/metrics.hpp"
@@ -33,16 +33,18 @@ struct ExperimentConfig {
 
   std::uint64_t seed = 1;
 
-  // Platform (cost models, link speeds); mode/buffer_capacity/seed above
-  // override the corresponding switch_config fields.
-  TestbedConfig testbed;
+  // Platform template (cost models, link speeds, channel faults):
+  // mode/buffer_capacity/seed above override the corresponding fields. It
+  // must stay a one-switch, two-host L2 fabric on the sequential engine;
+  // run_experiment rejects anything else.
+  FabricConfig testbed = chain_fabric(1);
 
   // Extra simulated time allowed for the tail of the run to drain.
   sim::SimTime drain_timeout = sim::SimTime::seconds(5);
 
-  // Optional invariant-checking observer, wired through the testbed (see
-  // TestbedConfig::observer). Observes the warm-up too; call finalize() on
-  // the registry after run_experiment returns.
+  // Optional invariant-checking observer, wired through the testbed as the
+  // switch's entry in FabricConfig::observers. Observes the warm-up too;
+  // call finalize() on the registry after run_experiment returns.
   verify::InvariantObserver* observer = nullptr;
   // Optional control-channel capture, attached before warm-up so two
   // same-seed runs produce byte-identical traces end to end.

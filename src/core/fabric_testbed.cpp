@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "metrics/delay_recorder.hpp"
 #include "util/check.hpp"
 
 namespace sdnbuf::core {
@@ -17,15 +16,26 @@ const char* fabric_routing_name(FabricRouting routing) {
   return "unknown";
 }
 
+FabricConfig chain_fabric(unsigned n_switches) {
+  FabricConfig config;
+  config.topology = topo::make_chain(n_switches);
+  config.routing = FabricRouting::L2Learning;
+  return config;
+}
+
 FabricTestbed::FabricTestbed(const FabricConfig& config)
     : engine_(std::max(1u, config.shards)),
       sim_(engine_.shard(0)),
       topo_(config.topology),
       routing_(config.routing),
-      observers_(config.observers) {
+      observers_(config.observers),
+      pending_faults_(config.fault_profile),
+      seed_(config.seed) {
   topo_.validate();
   SDNBUF_CHECK_MSG(observers_.empty() || observers_.size() == topo_.n_switches(),
                    "observers must be empty or one per switch");
+  SDNBUF_CHECK_MSG(!(pending_faults_.any() && engine_.n_shards() > 1),
+                   "control-channel faults require the sequential engine (shards <= 1)");
 
   // Shard assignment: the controller (plus its channel endpoints) owns shard
   // 0; switches round-robin over the remaining shards; each host lives with
@@ -121,8 +131,8 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
   // Observer chains: per switch, the invariant registry (if any) teed with a
   // FateObserver adapter into the shared observatory (if any). Injections
   // into the observatory's global ledger are endpoint events only — the
-  // adapters pass endpoint_injections=false so cross-switch handoffs (which
-  // re-inject per-switch) do not double count; inject_from_host and the sink
+  // adapters ignore injections so cross-switch handoffs (which re-inject
+  // per-switch) do not double count; inject_from_host and the sink
   // telemetry taps feed the global ledger directly.
   observatory_ = config.observatory;
   chain_.resize(topo_.n_switches(), nullptr);
@@ -130,7 +140,7 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
     chain_[i] = observers_.empty() ? nullptr : observers_[i];
     if (observatory_ == nullptr) continue;
     fate_adapters_.push_back(std::make_unique<obs::FateObserver>(
-        *observatory_, topo_.name(topo_.switch_id(i)), /*endpoint_injections=*/false));
+        *observatory_, topo_.name(topo_.switch_id(i))));
     if (chain_[i] != nullptr) {
       fate_tees_.push_back(
           std::make_unique<obs::TeeObserver>(chain_[i], fate_adapters_.back().get()));
@@ -159,6 +169,10 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
         [obs](bool to_controller, const of::OfMessage& msg, std::size_t, sim::SimTime when) {
           obs->on_control_message(to_controller, msg, when);
         });
+    channels_[i]->set_fault_tap([obs](bool to_controller, const of::OfMessage& msg,
+                                      of::FaultKind kind, sim::SimTime when) {
+      obs->on_channel_fault(to_controller, msg, kind, when);
+    });
   }
 
   if (routing_ != FabricRouting::L2Learning) {
@@ -205,6 +219,19 @@ void FabricTestbed::arm_link_faults(const std::vector<LinkFaultSpec>& faults) {
     }
     fault_schedules_.push_back(std::move(schedule));
   }
+}
+
+void FabricTestbed::arm_channel_faults() {
+  // Configured outage windows are relative to the measurement start.
+  for (of::OutageWindow& w : pending_faults_.outages) {
+    w.start = w.start + measurement_start_;
+    w.end = w.end + measurement_start_;
+  }
+  for (unsigned i = 0; i < n_switches(); ++i) {
+    channels_[i]->set_fault_profile(pending_faults_,
+                                    seed_ * 0x9e3779b97f4a7c15ULL + 0xfa017ULL + i);
+  }
+  pending_faults_ = of::FaultProfile{};
 }
 
 void FabricTestbed::arm_switch_crashes(const std::vector<SwitchCrashSpec>& crashes) {
@@ -300,6 +327,40 @@ void FabricTestbed::inject_from_host(unsigned host_index, const net::Packet& pac
           hsim.now());
     }
   }
+}
+
+void FabricTestbed::warm_up() {
+  SDNBUF_CHECK_MSG(routing_ == FabricRouting::L2Learning && n_hosts() == 2,
+                   "warm-up teaches an L2 chain its two hosts");
+  // Host2 speaks first: its packet floods (Host1 still unknown) and teaches
+  // every switch Host2's location; then Host1's packet teaches Host1's and
+  // is forwarded directly.
+  const auto learned_everywhere = [this](const net::MacAddress& mac) {
+    for (unsigned i = 0; i < n_switches(); ++i) {
+      if (!controller_->lookup_mac(mac, i + 1)) return false;
+    }
+    return true;
+  };
+  constexpr std::uint16_t kWarmupPort = 99;
+  std::uint16_t seq = 0;
+  const auto converse = [&](unsigned from, const net::MacAddress& src_mac,
+                            const net::MacAddress& dst_mac, net::Ipv4Address src_ip,
+                            net::Ipv4Address dst_ip) {
+    for (int attempt = 0; attempt < 50 && !learned_everywhere(src_mac); ++attempt) {
+      net::Packet p = net::make_udp_packet(src_mac, dst_mac, src_ip, dst_ip,
+                                           static_cast<std::uint16_t>(kWarmupPort + seq++),
+                                           kWarmupPort, 100);
+      p.flow_id = metrics::kUntrackedFlow;
+      inject_from_host(from, p);
+      sim_.run_until(sim_.now() + sim::SimTime::milliseconds(50));
+    }
+  };
+  converse(1, host2_mac(), host1_mac(), host2_ip(), host1_ip());
+  converse(0, host1_mac(), host2_mac(), host1_ip(), host2_ip());
+  sim_.run_until(sim_.now() + sim::SimTime::milliseconds(100));
+  SDNBUF_CHECK_MSG(learned_everywhere(host1_mac()) && learned_everywhere(host2_mac()),
+                   "warm-up failed to teach every switch both host locations");
+  reset_statistics();
 }
 
 std::uint64_t FabricTestbed::total_pkt_ins() const {
@@ -467,6 +528,11 @@ void FabricTestbed::install_metrics(obs::MetricsRegistry& registry) {
   if (observatory_ != nullptr) observatory_->install_metrics(registry);
 }
 
+void FabricTestbed::set_delay_recorder(metrics::DelayRecorder* recorder) {
+  for (auto& s : switches_) s->set_delay_recorder(recorder);
+  for (auto& s : sinks_) s->set_delay_recorder(recorder);
+}
+
 void FabricTestbed::stop() {
   for (auto& s : switches_) s->stop();
   controller_->stop();
@@ -496,6 +562,7 @@ void FabricTestbed::reset_statistics() {
   for (auto& s : sinks_) s->reset();
   for (auto& slot : shard_deliveries_) slot = ShardDeliveries{};
   measurement_start_ = sim_.now();
+  if (pending_faults_.any()) arm_channel_faults();
 }
 
 }  // namespace sdnbuf::core

@@ -5,9 +5,11 @@
 //                \    |    /
 //                 controller (one channel per switch)      (control plane)
 //
-// This generalizes the hand-wired ChainTestbed (now a thin wrapper over
-// `topo::make_chain`) to arbitrary validated fabrics: per-switch port maps
-// come straight from the topology, forwarding decisions from the seeded ECMP
+// Every platform in the repo is one of these. The paper's Fig. 1 rig
+// (Host1 -- OVS -- Host2, 100 Mbps host links, a 1 Gbps / 300 us control
+// link to Floodlight) is `chain_fabric(1)`; longer chains extend it hop by
+// hop. Arbitrary validated fabrics take their per-switch port maps straight
+// from the topology and their forwarding decisions from the seeded ECMP
 // `topo::Router`, and the controller can answer misses per hop (the paper's
 // reactive model multiplied across the path) or pre-install the whole path
 // on the first packet_in of a flow.
@@ -27,6 +29,7 @@
 
 #include "controller/controller.hpp"
 #include "host/sink.hpp"
+#include "metrics/delay_recorder.hpp"
 #include "net/link.hpp"
 #include "obs/fabric_observatory.hpp"
 #include "obs/metrics.hpp"
@@ -45,7 +48,7 @@ namespace sdnbuf::core {
 // The forwarding application driving the fabric's controller.
 enum class FabricRouting {
   // Classic MAC learning with flooding — only safe on loop-free topologies
-  // (the chain); kept for ChainTestbed compatibility.
+  // (chains, the paper's one-switch rig included).
   L2Learning,
   // topo::Router consulted per packet_in; every switch on the path misses
   // once per flow (reactive per-hop setup).
@@ -112,7 +115,19 @@ struct FabricConfig {
   // one thread (run_fabric_experiment enforces this). Per-switch INT and
   // sampling knobs live in switch_config.
   obs::FabricObservatory* observatory = nullptr;
+  // Control-channel fault injection, armed on every channel when the
+  // measurement window opens (the first reset_statistics(), which warm_up()
+  // calls), so handshake and learning always run over clean channels.
+  // Outage windows are relative to that instant. Channel i draws from its
+  // own stream, seeded seed * 0x9e3779b97f4a7c15 + 0xfa017 + i. Requires
+  // shards <= 1: a channel's draws serve both of its directions.
+  of::FaultProfile fault_profile;
 };
+
+// A loop-free chain of `n_switches` between two hosts under L2 learning;
+// port 1 of every switch faces Host1, port 2 faces Host2. chain_fabric(1) is
+// the paper's Fig. 1 rig.
+[[nodiscard]] FabricConfig chain_fabric(unsigned n_switches);
 
 class FabricTestbed {
  public:
@@ -123,6 +138,24 @@ class FabricTestbed {
 
   // Sends `packet` from host `host_index` up its access link into the fabric.
   void inject_from_host(unsigned host_index, const net::Packet& packet);
+
+  // The two-host conversation of an L2 chain: host 0 is Host1, host 1 is
+  // Host2. MACs are topo::Topology::host_mac; the IPs are the paper rig's
+  // (the sampling hash and the workload's source-IP sweep read them).
+  [[nodiscard]] static net::MacAddress host1_mac() { return topo::Topology::host_mac(0); }
+  [[nodiscard]] static net::MacAddress host2_mac() { return topo::Topology::host_mac(1); }
+  [[nodiscard]] static net::Ipv4Address host1_ip() {
+    return net::Ipv4Address::from_octets(10, 1, 0, 1);
+  }
+  [[nodiscard]] static net::Ipv4Address host2_ip() {
+    return net::Ipv4Address::from_octets(10, 2, 0, 1);
+  }
+
+  // L2 learning warm-up (ARP-style startup chatter, with retries so it also
+  // succeeds under controller fault injection): Host2 speaks until every
+  // switch has learned it, then Host1; then drains and opens the
+  // measurement window. Requires L2 learning and exactly two hosts.
+  void warm_up();
 
   // Shard 0's simulator: the only event queue when shards <= 1, and the
   // controller's shard otherwise. Sequential-era call sites keep working;
@@ -147,6 +180,10 @@ class FabricTestbed {
   [[nodiscard]] sw::Switch& switch_at(unsigned index) { return *switches_.at(index); }
   [[nodiscard]] of::Channel& channel_at(unsigned index) { return *channels_.at(index); }
   [[nodiscard]] net::DuplexLink& data_link_at(std::size_t index) { return *data_links_.at(index); }
+  // Switch `index`'s control link: forward() carries switch -> controller.
+  [[nodiscard]] net::DuplexLink& control_link_at(unsigned index) {
+    return *control_links_.at(index);
+  }
   [[nodiscard]] ctrl::Controller& controller() { return *controller_; }
   [[nodiscard]] host::HostSink& sink_at(unsigned host_index) { return *sinks_.at(host_index); }
 
@@ -182,15 +219,22 @@ class FabricTestbed {
   // prefixed with the switch name.
   void install_metrics(obs::MetricsRegistry& registry);
 
+  // Attaches a setup-delay recorder to every switch and host sink. The
+  // decomposition is per switch, so it is meaningful on one-switch fabrics.
+  void set_delay_recorder(metrics::DelayRecorder* recorder);
+
   // Stops all housekeeping so Simulator::run() can drain.
   void stop();
 
+  // Resets taps, CPU meters, counters and occupancy statistics and marks the
+  // start of the measurement window. The first call arms the fault profile.
   void reset_statistics();
 
  private:
   void wire_ports();
   void arm_link_faults(const std::vector<LinkFaultSpec>& faults);
   void arm_switch_crashes(const std::vector<SwitchCrashSpec>& crashes);
+  void arm_channel_faults();
   [[nodiscard]] sim::Simulator& shard_sim(unsigned shard) { return engine_.shard(shard); }
 
   // Delivery records are written by host-delivery closures, which run on the
@@ -226,6 +270,8 @@ class FabricTestbed {
   // Fault schedules live here because the links hold raw pointers into them.
   std::vector<std::unique_ptr<net::LinkFaultSchedule>> fault_schedules_;
   sim::SimTime last_fault_clear_;
+  of::FaultProfile pending_faults_;  // armed, then cleared, by the first window
+  std::uint64_t seed_;
   std::vector<ShardDeliveries> shard_deliveries_;  // one slot per shard
   sim::SimTime measurement_start_;
 };

@@ -6,7 +6,7 @@
 // and pool the per-flow delay samples.
 //
 // The sweep is embarrassingly parallel — every (rate, repetition) cell owns
-// an independent Simulator/Testbed and a seed derived only from the cell's
+// an independent simulator and testbed and a seed derived only from the cell's
 // coordinates — so `jobs > 1` fans the cells out across a util::ThreadPool.
 // Determinism contract: workers store each cell's ExperimentResult into a
 // pre-assigned slot and the merge into RatePoints happens sequentially on

@@ -385,16 +385,9 @@ void FabricObservatory::reset() {
 
 // --- FateObserver ---
 
-void FateObserver::on_packet_injected(const net::Packet& packet, sim::SimTime now) {
-  if (endpoint_injections_) obs_.on_injected(packet, now);
-}
+void FateObserver::on_packet_injected(const net::Packet&, sim::SimTime) {}
 
-void FateObserver::on_packet_delivered(const net::Packet& packet, sim::SimTime now) {
-  // Deliveries reach the observatory through the host-sink tap; per-switch
-  // observers also see mid-fabric handoffs, which must not count.
-  (void)packet;
-  (void)now;
-}
+void FateObserver::on_packet_delivered(const net::Packet&, sim::SimTime) {}
 
 void FateObserver::on_packet_dropped(const net::Packet& packet, const char* where,
                                      sim::SimTime now) {

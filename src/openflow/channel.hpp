@@ -125,9 +125,6 @@ class Channel {
   }
   [[nodiscard]] const MessageCounters& to_switch_counters() const { return to_switch_counters_; }
 
-  [[nodiscard]] net::Link& to_controller_link() { return to_controller_; }
-  [[nodiscard]] net::Link& to_switch_link() { return to_switch_; }
-
   // Observation tap for captures: invoked synchronously at send time with
   // the direction (true = switch->controller), the message, its wire size,
   // and the send timestamp.

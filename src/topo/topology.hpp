@@ -128,7 +128,7 @@ class Topology {
 // (and therefore the port map) is part of each builder's contract.
 
 // Host1 -- sw1 -- sw2 -- ... -- swN -- Host2. Port map: port 1 faces Host1,
-// port 2 faces Host2 on every switch — the ChainTestbed convention.
+// port 2 faces Host2 on every switch (chain_fabric builds on it).
 [[nodiscard]] Topology make_chain(unsigned n_switches);
 
 // Two-tier Clos: every leaf connects to every spine; hosts attach to leaves.

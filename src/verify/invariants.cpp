@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "metrics/delay_recorder.hpp"
-#include "openflow/channel.hpp"
 
 namespace sdnbuf::verify {
 
@@ -41,13 +40,6 @@ std::string Violation::to_string() const {
   return "[" + when.to_string() + "] " + invariant + ": " + detail;
 }
 
-void InvariantRegistry::attach(of::Channel& channel) {
-  channel.set_verify_tap([this](bool to_controller, const of::OfMessage& msg, std::size_t,
-                                sim::SimTime when) { on_control_message(to_controller, msg, when); });
-  channel.set_fault_tap([this](bool to_controller, const of::OfMessage& msg, of::FaultKind kind,
-                               sim::SimTime when) { on_channel_fault(to_controller, msg, kind, when); });
-}
-
 void InvariantRegistry::violate(sim::SimTime when, std::string invariant, std::string detail) {
   ++total_violations_;
   if (violations_.size() < kMaxRecordedViolations) {
@@ -73,7 +65,7 @@ void InvariantRegistry::on_packet_injected(const net::Packet& packet, sim::SimTi
     // through this switch was closed out before the packet came back.
     const bool closed_revisit =
         allow_revisits_ && account->injected <= account->delivered + account->dropped + 1;
-    if (!closed_revisit) {
+    if (!closed_revisit && !allow_duplicate_arrivals_) {
       violate(now, "double-injection", payload_str(packet) + " injected again");
     }
   }
@@ -86,9 +78,11 @@ void InvariantRegistry::on_packet_delivered(const net::Packet& packet, sim::SimT
   if (account->injected == 0) {
     violate(now, "spurious-delivery", payload_str(packet) + " delivered but never injected");
   }
-  // With revisits allowed, each injection earns one delivery; otherwise the
-  // packet may leave the switch exactly once (plus any channel-dup slack).
-  const std::uint32_t visit_cap = allow_revisits_ ? account->injected : 1;
+  // With revisits or duplicate arrivals allowed, each injection earns one
+  // delivery; otherwise the packet may leave the switch exactly once (plus
+  // any channel-dup slack).
+  const std::uint32_t visit_cap =
+      allow_revisits_ || allow_duplicate_arrivals_ ? account->injected : 1;
   if (++account->delivered > visit_cap + account->dup_allowance) {
     violate(now, "duplicate-delivery",
             payload_str(packet) + " delivered " + std::to_string(account->delivered) +

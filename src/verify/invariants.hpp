@@ -36,10 +36,6 @@
 #include "net/flow_key.hpp"
 #include "verify/observer.hpp"
 
-namespace sdnbuf::of {
-class Channel;
-}
-
 namespace sdnbuf::verify {
 
 struct Violation {
@@ -57,10 +53,6 @@ class InvariantRegistry final : public InvariantObserver {
  public:
   InvariantRegistry() = default;
 
-  // Installs this registry as `channel`'s verify tap (the ChannelCapture tap
-  // slot stays free for tcpdump-style captures).
-  void attach(of::Channel& channel);
-
   // Full-path route installation legitimately sends flow_mods that answer no
   // packet_in on this switch's channel (fresh xids, rules for flows this
   // switch never reported). Setting this relaxes the "unpaired-flow-mod" and
@@ -74,6 +66,13 @@ class InvariantRegistry final : public InvariantObserver {
   // closed out (delivered onward or dropped), and scales the delivery cap
   // with the visit count; conservation in finalize() still has to balance.
   void set_allow_revisits(bool allow) { allow_revisits_ = allow; }
+  // Under channel duplication an upstream switch may legitimately forward one
+  // payload twice (a duplicated full-frame packet_in or packet_out), so this
+  // switch sees the payload arrive again, possibly while the first copy is
+  // still here. Setting this permits any re-injection and scales the
+  // delivery cap with the arrival count; conservation in finalize() still
+  // has to balance copy for copy.
+  void set_allow_duplicate_arrivals(bool allow) { allow_duplicate_arrivals_ = allow; }
 
   // --- InvariantObserver ---
   void on_packet_injected(const net::Packet& packet, sim::SimTime now) override;
@@ -199,6 +198,7 @@ class InvariantRegistry final : public InvariantObserver {
   bool finalized_ = false;
   bool allow_proactive_installs_ = false;
   bool allow_revisits_ = false;
+  bool allow_duplicate_arrivals_ = false;
 
   // Ordered map: deterministic iteration keeps reports and finalize output
   // reproducible across runs.

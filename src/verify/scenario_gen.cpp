@@ -58,10 +58,9 @@ Scenario sample_scenario(std::uint64_t seed, bool force_faults, bool force_fabri
     s.echo_interval = sim::SimTime::milliseconds(50 + rng.next_below(101));
   }
   // Fabric cross-check draws come LAST so enabling them never perturbs the
-  // base scenario a seed maps to. The gate draw is always consumed; the
-  // fault smoke (force_faults) keeps its run time by skipping fabrics.
+  // base scenario a seed maps to. The gate draw is always consumed.
   const bool want_fabric = rng.next_double() < 0.30;
-  if ((want_fabric || force_fabric || force_link_faults || force_shards) && !force_faults) {
+  if (want_fabric || force_fabric || force_link_faults || force_shards) {
     s.fabric_kind = static_cast<unsigned>(rng.next_below(3));
     s.fabric_switches = static_cast<unsigned>(2 + rng.next_below(7));  // 2..8
     s.fabric_seed = rng.next_u64();
@@ -179,6 +178,10 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
                                                 host::TrafficPattern::Incast};
   std::array<std::vector<PayloadId>, 3> delivered;
   std::array<bool, 3> drained{};
+  // Link faults and channel faults both legitimately lose packets (there is
+  // no closed loop here) and make the mechanisms diverge; under either,
+  // per-switch conservation is the contract.
+  const bool lossy = scenario.has_link_faults() || scenario.has_channel_faults();
   for (std::size_t i = 0; i < 3; ++i) {
     std::vector<std::unique_ptr<InvariantRegistry>> registries;
     std::vector<InvariantObserver*> observers;
@@ -188,6 +191,11 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
       // Route repair after a flap can send a rerouted packet back through a
       // switch it already transited; that revisit is legal under link faults.
       if (scenario.has_link_faults()) registries.back()->set_allow_revisits(true);
+      // A duplicated frame-carrying control message makes the next switch
+      // see the payload twice.
+      if (scenario.chan_duplicate_prob > 0.0) {
+        registries.back()->set_allow_duplicate_arrivals(true);
+      }
       observers.push_back(registries.back().get());
     }
 
@@ -204,6 +212,7 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
     cfg.max_packets = 6;
     cfg.seed = scenario.seed;
     cfg.observers = observers;
+    cfg.fabric.fault_profile = scenario.fault_profile();
     obs::FabricObservatory obsy;
     if (scenario.has_telemetry()) {
       cfg.observatory = &obsy;
@@ -250,7 +259,7 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
         out.failures.push_back(label + ": ledger injected " + std::to_string(obsy.injected()) +
                                " != packets sent " + std::to_string(r.packets_sent));
       }
-      if (!scenario.has_link_faults() && r.drained) {
+      if (!lossy && r.drained) {
         if (obsy.delivered() != r.packets_delivered) {
           out.failures.push_back(label + ": ledger delivered " +
                                  std::to_string(obsy.delivered()) + " != sink deliveries " +
@@ -275,9 +284,11 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
       // must hold there too, and — fault-free and drained on both engines —
       // the delivered payload multiset must match the sequential run exactly
       // (shard counts may reorder equal-timestamp events, so the multiset,
-      // not the byte stream, is the contract).
+      // not the byte stream, is the contract). Channel faults need the
+      // sequential engine, so the sharded run goes without them.
       std::vector<std::unique_ptr<InvariantRegistry>> shard_registries;
       core::FabricExperimentConfig shard_cfg = cfg;
+      shard_cfg.fabric.fault_profile = of::FaultProfile{};
       shard_cfg.observers.clear();
       // The observatory is one shared ledger; re-running the same payloads
       // through it would mix two runs' fates. The telemetry *knobs* stay on
@@ -318,7 +329,7 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
           out.failures.push_back(label + ": undrained (" + std::to_string(sr.packets_delivered) +
                                  "/" + std::to_string(sr.packets_sent) + " delivered)");
         }
-        if (sr.drained && r.drained && sr.delivered != r.delivered) {
+        if (!lossy && sr.drained && r.drained && sr.delivered != r.delivered) {
           out.failures.push_back(label +
                                  " delivered a different payload multiset than the "
                                  "sequential engine");
@@ -328,11 +339,11 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
 
     std::uint64_t events = 0;
     for (unsigned sw_i = 0; sw_i < registries.size(); ++sw_i) {
-      // Under link faults a frame can die on the wire after the switch
-      // forwarded it, so per-switch "all delivered" no longer holds even in
-      // a drained run — conservation is the contract there.
-      registries[sw_i]->finalize(
-          /*expect_all_delivered=*/r.drained && !scenario.has_link_faults());
+      // Under link or channel faults a frame can die after the switch
+      // forwarded it (or a duplicate can mask a loss in the sinks' raw
+      // count), so per-switch "all delivered" no longer holds even in a
+      // drained run — conservation is the contract there.
+      registries[sw_i]->finalize(/*expect_all_delivered=*/r.drained && !lossy);
       events += registries[sw_i]->events_observed();
       if (!registries[sw_i]->ok()) {
         out.failures.push_back("fabric " + std::string(sw::buffer_mode_name(kModes[i])) + " " +
@@ -345,8 +356,8 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
       out.failures.push_back("fabric " + std::string(sw::buffer_mode_name(kModes[i])) +
                              ": observers saw no events (hooks unwired?)");
     }
-    if (!r.drained && !scenario.has_link_faults()) {
-      // Link faults legitimately eat packets (no closed loop here), so the
+    if (!r.drained && !lossy) {
+      // Faults legitimately eat packets (no closed loop here), so the
       // drained requirement only applies to fault-free fabrics.
       out.failures.push_back("fabric " + std::string(sw::buffer_mode_name(kModes[i])) +
                              ": undrained (" + std::to_string(r.packets_delivered) + "/" +
@@ -355,10 +366,10 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
     }
   }
   // Fault-free fabrics: every mechanism must deliver the identical payload
-  // multiset. Under link faults the mechanisms diverge (a re-raised miss
-  // takes a different path than a buffered release), so only per-switch
-  // conservation is checked there.
-  if (!scenario.has_link_faults()) {
+  // multiset. Under faults the mechanisms diverge (a re-raised miss takes a
+  // different path than a buffered release; different messages get lost),
+  // so only per-switch conservation is checked there.
+  if (!lossy) {
     for (std::size_t i = 1; i < 3; ++i) {
       if (drained[i] && drained[0] && delivered[i] != delivered[0]) {
         out.failures.push_back("fabric " + std::string(sw::buffer_mode_name(kModes[i])) +
@@ -408,6 +419,19 @@ std::string Scenario::describe() const {
   return os.str();
 }
 
+of::FaultProfile Scenario::fault_profile() const {
+  of::FaultProfile profile;
+  profile.loss_to_controller = chan_loss_to_controller;
+  profile.loss_to_switch = chan_loss_to_switch;
+  profile.duplicate_to_controller = chan_duplicate_prob;
+  profile.duplicate_to_switch = chan_duplicate_prob;
+  profile.max_extra_delay = chan_extra_delay;
+  if (outage_len > sim::SimTime::zero()) {
+    profile.outages.push_back({outage_start, outage_start + outage_len});
+  }
+  return profile;
+}
+
 core::ExperimentConfig Scenario::experiment_config(sw::BufferMode mode) const {
   core::ExperimentConfig cfg;
   cfg.mode = mode;
@@ -425,14 +449,7 @@ core::ExperimentConfig Scenario::experiment_config(sw::BufferMode mode) const {
   cfg.testbed.controller_config.piggyback_buffer_id = piggyback_buffer_id;
   cfg.testbed.controller_config.drop_pkt_in_probability = drop_pkt_in_probability;
   cfg.testbed.controller_config.stats_poll_interval = stats_poll_interval;
-  cfg.testbed.fault_profile.loss_to_controller = chan_loss_to_controller;
-  cfg.testbed.fault_profile.loss_to_switch = chan_loss_to_switch;
-  cfg.testbed.fault_profile.duplicate_to_controller = chan_duplicate_prob;
-  cfg.testbed.fault_profile.duplicate_to_switch = chan_duplicate_prob;
-  cfg.testbed.fault_profile.max_extra_delay = chan_extra_delay;
-  if (outage_len > sim::SimTime::zero()) {
-    cfg.testbed.fault_profile.outages.push_back({outage_start, outage_start + outage_len});
-  }
+  cfg.testbed.fault_profile = fault_profile();
   cfg.testbed.switch_config.echo_interval = echo_interval;
   cfg.testbed.switch_config.fail_mode = fail_mode;
   if (telemetry) {

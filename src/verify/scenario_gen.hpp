@@ -35,8 +35,8 @@ struct Scenario {
   double drop_pkt_in_probability = 0.0;
   sim::SimTime stats_poll_interval = sim::SimTime::zero();
 
-  // Control-channel fault plane (armed after warm-up; see
-  // TestbedConfig::fault_profile). Loss/duplication are symmetric per
+  // Control-channel fault plane (armed when the measurement window opens;
+  // see FabricConfig::fault_profile). Duplication is symmetric per
   // direction here to keep the sampled space small.
   double chan_loss_to_controller = 0.0;
   double chan_loss_to_switch = 0.0;
@@ -113,6 +113,11 @@ struct Scenario {
   // One-line parameter dump for failure reports.
   [[nodiscard]] std::string describe() const;
 
+  // The channel fault profile the scenario arms on every control channel of
+  // the single-switch rig and of the fabric cross-check (inert when
+  // has_channel_faults() is false).
+  [[nodiscard]] of::FaultProfile fault_profile() const;
+
   // The run_experiment configuration for one buffer mechanism (observer not
   // yet wired; run_scenario does that).
   [[nodiscard]] core::ExperimentConfig experiment_config(sw::BufferMode mode) const;
@@ -128,9 +133,9 @@ struct Scenario {
 // polling, the piggyback ablation and control-channel faults
 // (loss/duplication/jitter/outage). `force_faults` guarantees the sampled
 // scenario exercises the channel fault plane (used by the CI smoke step);
-// `force_fabric` likewise guarantees the fabric cross-check fires (the two
-// forces are mutually exclusive — faults win, and the fault smoke skips
-// fabrics to keep its run time). `force_link_faults` implies a fabric and
+// `force_fabric` likewise guarantees the fabric cross-check fires, where the
+// channel faults are armed on every control channel. `force_link_faults`
+// implies a fabric and
 // guarantees data-plane flap schedules on its inter-switch links.
 // `force_shards` implies a fabric and guarantees the sharded-engine
 // cross-check fires; its draws are appended last so forcing it never

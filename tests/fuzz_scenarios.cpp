@@ -49,11 +49,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (force_faults && (force_fabric || force_link_faults || force_shards)) {
-    std::fprintf(stderr,
-                 "fuzz_scenarios: --force-faults excludes the fabric-forcing flags\n");
-    return 2;
-  }
   if (runs < 1) {
     std::fprintf(stderr, "fuzz_scenarios: --runs must be a positive integer\n");
     return 2;

@@ -5,12 +5,15 @@
 // limit, and the registry's channel-loss accounting.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/testbed.hpp"
+#include "core/fabric_testbed.hpp"
 #include "net/link.hpp"
 #include "openflow/channel.hpp"
+#include "topo/topology.hpp"
 #include "verify/invariants.hpp"
 
 using namespace sdnbuf;
@@ -36,7 +39,7 @@ struct ChannelRig {
   }
 };
 
-net::Packet fresh_packet(core::Testbed& bed, std::uint64_t flow_id) {
+net::Packet fresh_packet(core::FabricTestbed& bed, std::uint64_t flow_id) {
   net::Packet p = net::make_udp_packet(bed.host1_mac(), bed.host2_mac(), bed.host1_ip(),
                                        bed.host2_ip(),
                                        static_cast<std::uint16_t>(20000 + flow_id), 7, 400);
@@ -136,16 +139,15 @@ TEST(ChannelFaults, RejectsUnsortedOutageWindows) {
 // never wedges — every request ends up exactly once in {seen, expired}, so
 // the outstanding-xid set cannot leak.
 TEST(ChannelFaults, StatsPollingSurvivesLossAndDuplication) {
-  core::TestbedConfig tb;
+  core::FabricConfig tb = core::chain_fabric(1);
   tb.controller_config.stats_poll_interval = ms(50);
   tb.fault_profile.loss_to_switch = 0.3;           // stats requests eaten
   tb.fault_profile.loss_to_controller = 0.3;       // stats replies eaten
   tb.fault_profile.duplicate_to_controller = 0.3;  // stats replies doubled
-  core::Testbed bed{tb};
+  core::FabricTestbed bed{tb};
   bed.warm_up();
   bed.sim().run_until(bed.measurement_start() + sim::SimTime::seconds(2));
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
 
   const ctrl::ControllerCounters& cc = bed.controller().counters();
@@ -227,35 +229,34 @@ TEST(RegistryFaultAccounting, DuplicationWidensAllowances) {
 // miss threshold, and the hello re-handshake restores it once the window
 // closes.
 TEST(ConnectionLifecycle, OutageDegradesThenReconnects) {
-  core::TestbedConfig tb;
+  core::FabricConfig tb = core::chain_fabric(1);
   tb.switch_config.echo_interval = ms(50);
   tb.switch_config.echo_miss_threshold = 3;
   tb.switch_config.fail_mode = sw::ConnectionFailMode::FailSecure;
   tb.fault_profile.outages.push_back({ms(100), ms(800)});
-  core::Testbed bed{tb};
+  core::FabricTestbed bed{tb};
   bed.warm_up();
   const sim::SimTime t0 = bed.measurement_start();
 
   bed.sim().run_until(t0 + ms(500));
-  EXPECT_EQ(bed.ovs().connection_state(), sw::ConnectionState::Degraded);
-  EXPECT_EQ(bed.ovs().counters().connection_losses, 1u);
+  EXPECT_EQ(bed.switch_at(0).connection_state(), sw::ConnectionState::Degraded);
+  EXPECT_EQ(bed.switch_at(0).counters().connection_losses, 1u);
 
   bed.sim().run_until(t0 + sim::SimTime::seconds(2));
-  EXPECT_EQ(bed.ovs().connection_state(), sw::ConnectionState::Connected);
-  EXPECT_EQ(bed.ovs().counters().reconnects, 1u);
-  EXPECT_GT(bed.ovs().last_restored_at(), t0 + ms(800));
-  EXPECT_GT(bed.ovs().counters().echo_requests_sent, 0u);
-  EXPECT_GT(bed.ovs().counters().echo_replies_received, 0u);
+  EXPECT_EQ(bed.switch_at(0).connection_state(), sw::ConnectionState::Connected);
+  EXPECT_EQ(bed.switch_at(0).counters().reconnects, 1u);
+  EXPECT_GT(bed.switch_at(0).last_restored_at(), t0 + ms(800));
+  EXPECT_GT(bed.switch_at(0).counters().echo_requests_sent, 0u);
+  EXPECT_GT(bed.switch_at(0).counters().echo_replies_received, 0u);
   // Liveness and handshake traffic is visible in the channel counters.
-  EXPECT_GT(bed.channel().to_controller_counters().count(of::MsgType::EchoRequest), 0u);
-  EXPECT_GT(bed.channel().to_switch_counters().count(of::MsgType::EchoReply), 0u);
-  EXPECT_GE(bed.channel().to_controller_counters().count(of::MsgType::Hello), 1u);
-  EXPECT_GE(bed.channel().to_switch_counters().count(of::MsgType::Hello), 1u);
+  EXPECT_GT(bed.channel_at(0).to_controller_counters().count(of::MsgType::EchoRequest), 0u);
+  EXPECT_GT(bed.channel_at(0).to_switch_counters().count(of::MsgType::EchoReply), 0u);
+  EXPECT_GE(bed.channel_at(0).to_controller_counters().count(of::MsgType::Hello), 1u);
+  EXPECT_GE(bed.channel_at(0).to_switch_counters().count(of::MsgType::Hello), 1u);
   EXPECT_GT(bed.controller().counters().echo_requests_seen, 0u);
   EXPECT_GE(bed.controller().counters().hellos_seen, 1u);
 
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
 }
 
@@ -265,34 +266,33 @@ TEST(ConnectionLifecycle, OutageDegradesThenReconnects) {
 TEST(ConnectionLifecycle, FailModesDisagreeOnDegradedMisses) {
   for (const auto mode :
        {sw::ConnectionFailMode::FailSecure, sw::ConnectionFailMode::FailStandalone}) {
-    core::TestbedConfig tb;
+    core::FabricConfig tb = core::chain_fabric(1);
     tb.switch_config.echo_interval = ms(50);
     tb.switch_config.echo_miss_threshold = 3;
     tb.switch_config.fail_mode = mode;
     tb.switch_config.buffer_mode = sw::BufferMode::PacketGranularity;
     tb.fault_profile.outages.push_back({sim::SimTime::zero(), sim::SimTime::seconds(10)});
-    core::Testbed bed{tb};
+    core::FabricTestbed bed{tb};
     bed.warm_up();
     const sim::SimTime t0 = bed.measurement_start();
 
     bed.sim().run_until(t0 + ms(400));
-    ASSERT_EQ(bed.ovs().connection_state(), sw::ConnectionState::Degraded)
+    ASSERT_EQ(bed.switch_at(0).connection_state(), sw::ConnectionState::Degraded)
         << sw::fail_mode_name(mode);
 
-    bed.inject_from_host1(fresh_packet(bed, 1));
+    bed.inject_from_host(0, fresh_packet(bed, 1));
     bed.sim().run_until(t0 + ms(600));
     if (mode == sw::ConnectionFailMode::FailStandalone) {
-      EXPECT_EQ(bed.sink2().packets_received(), 1u) << "standalone must keep forwarding";
-      EXPECT_EQ(bed.ovs().counters().standalone_forwarded, 1u);
-      EXPECT_EQ(bed.ovs().counters().failsecure_dropped, 0u);
+      EXPECT_EQ(bed.sink_at(1).packets_received(), 1u) << "standalone must keep forwarding";
+      EXPECT_EQ(bed.switch_at(0).counters().standalone_forwarded, 1u);
+      EXPECT_EQ(bed.switch_at(0).counters().failsecure_dropped, 0u);
     } else {
-      EXPECT_EQ(bed.sink2().packets_received(), 0u) << "fail-secure must drop";
-      EXPECT_EQ(bed.ovs().counters().failsecure_dropped, 1u);
-      EXPECT_EQ(bed.ovs().counters().standalone_forwarded, 0u);
+      EXPECT_EQ(bed.sink_at(1).packets_received(), 0u) << "fail-secure must drop";
+      EXPECT_EQ(bed.switch_at(0).counters().failsecure_dropped, 1u);
+      EXPECT_EQ(bed.switch_at(0).counters().standalone_forwarded, 0u);
     }
 
-    bed.ovs().stop();
-    bed.controller().stop();
+    bed.stop();
     bed.sim().run();
   }
 }
@@ -330,7 +330,7 @@ TEST(ConnectionLifecycle, ReconnectReconcilesStrandedBuffers) {
   // Flow granularity: a flow buffered right before the outage survives it.
   {
     verify::InvariantRegistry reg;
-    core::TestbedConfig tb;
+    core::FabricConfig tb = core::chain_fabric(1);
     tb.switch_config.echo_interval = ms(20);
     tb.switch_config.echo_miss_threshold = 2;
     tb.switch_config.fail_mode = sw::ConnectionFailMode::FailStandalone;
@@ -340,20 +340,19 @@ TEST(ConnectionLifecycle, ReconnectReconcilesStrandedBuffers) {
     // controller's response can cross back) and closes well inside the
     // 500 ms buffer expiry.
     tb.fault_profile.outages.push_back({sim::SimTime::microseconds(500), ms(200)});
-    tb.observer = &reg;
-    core::Testbed bed{tb};
+    tb.observers = {&reg};
+    core::FabricTestbed bed{tb};
     bed.warm_up();
     const sim::SimTime t0 = bed.measurement_start();
 
-    bed.inject_from_host1(fresh_packet(bed, 1));
+    bed.inject_from_host(0, fresh_packet(bed, 1));
     bed.sim().run_until(t0 + ms(450));
-    EXPECT_EQ(bed.ovs().connection_state(), sw::ConnectionState::Connected);
-    EXPECT_GE(bed.ovs().counters().reconcile_rerequests, 1u);
-    EXPECT_EQ(bed.sink2().packets_received(), 1u)
+    EXPECT_EQ(bed.switch_at(0).connection_state(), sw::ConnectionState::Connected);
+    EXPECT_GE(bed.switch_at(0).counters().reconcile_rerequests, 1u);
+    EXPECT_EQ(bed.sink_at(1).packets_received(), 1u)
         << "reconciliation must recover the stranded flow unit";
 
-    bed.ovs().stop();
-    bed.controller().stop();
+    bed.stop();
     bed.sim().run();
     reg.finalize(/*expect_all_delivered=*/false);
     EXPECT_TRUE(reg.ok()) << reg.report();
@@ -361,28 +360,145 @@ TEST(ConnectionLifecycle, ReconnectReconcilesStrandedBuffers) {
   // Packet granularity: the stranded unit is an orphan and gets expired.
   {
     verify::InvariantRegistry reg;
-    core::TestbedConfig tb;
+    core::FabricConfig tb = core::chain_fabric(1);
     tb.switch_config.echo_interval = ms(20);
     tb.switch_config.echo_miss_threshold = 2;
     tb.switch_config.fail_mode = sw::ConnectionFailMode::FailStandalone;
     tb.switch_config.buffer_mode = sw::BufferMode::PacketGranularity;
     tb.switch_config.buffer_capacity = 64;
     tb.fault_profile.outages.push_back({sim::SimTime::microseconds(500), ms(200)});
-    tb.observer = &reg;
-    core::Testbed bed{tb};
+    tb.observers = {&reg};
+    core::FabricTestbed bed{tb};
     bed.warm_up();
     const sim::SimTime t0 = bed.measurement_start();
 
-    bed.inject_from_host1(fresh_packet(bed, 1));
+    bed.inject_from_host(0, fresh_packet(bed, 1));
     bed.sim().run_until(t0 + ms(450));
-    EXPECT_EQ(bed.ovs().connection_state(), sw::ConnectionState::Connected);
-    EXPECT_GE(bed.ovs().counters().reconcile_expired, 1u);
-    EXPECT_EQ(bed.sink2().packets_received(), 0u);
+    EXPECT_EQ(bed.switch_at(0).connection_state(), sw::ConnectionState::Connected);
+    EXPECT_GE(bed.switch_at(0).counters().reconcile_expired, 1u);
+    EXPECT_EQ(bed.sink_at(1).packets_received(), 0u);
 
-    bed.ovs().stop();
-    bed.controller().stop();
+    bed.stop();
     bed.sim().run();
     reg.finalize(/*expect_all_delivered=*/false);
     EXPECT_TRUE(reg.ok()) << reg.report();
   }
+}
+
+// --- the channel fault plane on a multi-switch fabric ---
+
+namespace {
+
+core::FabricConfig faulted_leaf_spine() {
+  core::FabricConfig config;
+  config.topology = topo::make_leaf_spine(2, 2, 2);
+  config.routing = core::FabricRouting::TopologyPerHop;
+  config.switch_config.buffer_mode = sw::BufferMode::PacketGranularity;
+  config.fault_profile.loss_to_controller = 0.1;
+  config.fault_profile.loss_to_switch = 0.1;
+  config.fault_profile.duplicate_to_controller = 0.1;
+  config.fault_profile.duplicate_to_switch = 0.1;
+  config.fault_profile.outages.push_back({ms(40), ms(80)});
+  config.seed = 3;
+  return config;
+}
+
+using FaultStream = std::vector<std::pair<bool, of::FaultKind>>;
+
+// Records the (direction, kind) sequence of `channel`'s fault draws over a
+// fixed message sequence. Echo replies draw no answer from either endpoint,
+// so the sequence depends on nothing but the channel's fault stream.
+void record_fault_stream(of::Channel& channel, FaultStream& stream) {
+  channel.set_fault_tap([&stream](bool to_controller, const of::OfMessage&, of::FaultKind kind,
+                                  sim::SimTime) { stream.emplace_back(to_controller, kind); });
+  for (std::uint32_t xid = 1; xid <= 200; ++xid) {
+    channel.send_from_controller(of::EchoReply{xid});
+    channel.send_from_switch(of::EchoReply{xid});
+  }
+}
+
+FaultStream fabric_fault_stream(const core::FabricConfig& config, unsigned channel) {
+  core::FabricTestbed bed{config};
+  bed.reset_statistics();  // opens the measurement window: arms every channel
+  FaultStream stream;
+  record_fault_stream(bed.channel_at(channel), stream);
+  bed.stop();
+  bed.sim().run();
+  return stream;
+}
+
+}  // namespace
+
+TEST(FabricChannelFaults, LeafSpineConservesUnderLossDuplicationAndOutage) {
+  core::FabricConfig config = faulted_leaf_spine();
+  std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
+  for (unsigned i = 0; i < config.topology.n_switches(); ++i) {
+    registries.push_back(std::make_unique<verify::InvariantRegistry>());
+    // A duplicated full-frame message upstream makes a payload arrive twice.
+    registries.back()->set_allow_duplicate_arrivals(true);
+    config.observers.push_back(registries.back().get());
+  }
+  core::FabricTestbed bed{config};
+  bed.reset_statistics();
+
+  // All-to-all single-packet flows over 150 ms, straddling the outage.
+  std::uint64_t flow = 0;
+  for (int round = 0; round < 10; ++round) {
+    for (unsigned src = 0; src < bed.n_hosts(); ++src) {
+      for (unsigned dst = 0; dst < bed.n_hosts(); ++dst) {
+        if (src == dst) continue;
+        ++flow;
+        net::Packet p = net::make_udp_packet(
+            topo::Topology::host_mac(src), topo::Topology::host_mac(dst),
+            topo::Topology::host_ip(src), topo::Topology::host_ip(dst),
+            static_cast<std::uint16_t>(10000 + flow), 9, 600);
+        p.flow_id = flow;
+        bed.sim().schedule_at(ms(15 * round) + sim::SimTime::microseconds(50 * src),
+                              [&bed, src, p]() { bed.inject_from_host(src, p); });
+      }
+    }
+  }
+  bed.sim().run_until(ms(600));
+  bed.stop();
+  bed.sim().run();
+
+  unsigned faulted_channels = 0;
+  for (unsigned i = 0; i < bed.n_switches(); ++i) {
+    const of::ChannelFaultCounters& fc = bed.channel_at(i).fault_counters();
+    if (fc.total_lost() + fc.total_duplicated() + fc.total_outage_dropped() > 0) {
+      ++faulted_channels;
+    }
+    registries[i]->finalize(/*expect_all_delivered=*/false);
+    EXPECT_TRUE(registries[i]->ok()) << "switch " << i << ": " << registries[i]->report();
+    EXPECT_GT(registries[i]->events_observed(), 0u) << "switch " << i;
+  }
+  EXPECT_GE(faulted_channels, 2u);
+  EXPECT_GT(bed.total_delivered(), 0u);
+}
+
+TEST(FabricChannelFaults, ChannelZeroDrawsTheOneSwitchRigsStream) {
+  const core::FabricConfig fabric = faulted_leaf_spine();
+  core::FabricConfig rig = core::chain_fabric(1);
+  rig.seed = fabric.seed;
+  rig.fault_profile = fabric.fault_profile;
+
+  // The rig's channel draws from seed * 0x9e3779b97f4a7c15 + 0xfa017.
+  ChannelRig bare;
+  bare.channel.set_fault_profile(fabric.fault_profile,
+                                 fabric.seed * 0x9e3779b97f4a7c15ULL + 0xfa017ULL);
+  FaultStream bare_stream;
+  record_fault_stream(bare.channel, bare_stream);
+  bare.sim.run();
+  ASSERT_FALSE(bare_stream.empty());
+
+  EXPECT_EQ(fabric_fault_stream(rig, 0), bare_stream);
+  EXPECT_EQ(fabric_fault_stream(fabric, 0), bare_stream);
+  // Every other channel draws from its own stream.
+  EXPECT_NE(fabric_fault_stream(fabric, 1), bare_stream);
+}
+
+TEST(FabricChannelFaults, ShardedEngineRejectsChannelFaults) {
+  core::FabricConfig config = faulted_leaf_spine();
+  config.shards = 2;
+  EXPECT_DEATH(core::FabricTestbed{config}, "sequential engine");
 }

@@ -9,7 +9,6 @@
 
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
-#include "core/testbed.hpp"
 #include "host/traffic_gen.hpp"
 
 namespace sdnbuf::core {
@@ -23,19 +22,6 @@ ExperimentConfig base_config(sw::BufferMode mode, double rate = 50.0) {
   c.packets_per_flow = 1;
   c.seed = 11;
   return c;
-}
-
-TEST(Testbed, WarmUpTeachesControllerBothHosts) {
-  TestbedConfig config;
-  Testbed bed{config};
-  bed.warm_up();
-  EXPECT_TRUE(bed.controller().lookup_mac(bed.host1_mac()).has_value());
-  EXPECT_TRUE(bed.controller().lookup_mac(bed.host2_mac()).has_value());
-  EXPECT_EQ(*bed.controller().lookup_mac(bed.host1_mac()), Testbed::kHost1Port);
-  EXPECT_EQ(*bed.controller().lookup_mac(bed.host2_mac()), Testbed::kHost2Port);
-  // Statistics were reset after warm-up.
-  EXPECT_EQ(bed.to_controller_link().tap().bytes(), 0u);
-  EXPECT_EQ(bed.sink2().packets_received(), 0u);
 }
 
 class MechanismTest : public ::testing::TestWithParam<sw::BufferMode> {};
@@ -335,6 +321,20 @@ TEST(Integration, StatsPollingCoexistsWithForwarding) {
   EXPECT_TRUE(r.drained);
   EXPECT_GT(r.stats_requests, 0u);
   EXPECT_EQ(r.duplicates, 0u);
+}
+
+TEST(Integration, RejectsATemplateOtherThanTheOneSwitchRig) {
+  ExperimentConfig two_switches = base_config(sw::BufferMode::PacketGranularity);
+  two_switches.testbed = chain_fabric(2);
+  EXPECT_DEATH((void)run_experiment(two_switches), "one-switch");
+
+  ExperimentConfig routed = base_config(sw::BufferMode::PacketGranularity);
+  routed.testbed.routing = FabricRouting::TopologyPerHop;
+  EXPECT_DEATH((void)run_experiment(routed), "L2-learning");
+
+  ExperimentConfig sharded = base_config(sw::BufferMode::PacketGranularity);
+  sharded.testbed.shards = 2;
+  EXPECT_DEATH((void)run_experiment(sharded), "sequential engine");
 }
 
 TEST(Integration, DefaultRatesMatchPaperAxis) {

@@ -13,7 +13,6 @@
 #include "core/experiment.hpp"
 #include "core/fabric_experiment.hpp"
 #include "core/fabric_testbed.hpp"
-#include "core/testbed.hpp"
 #include "controller/flow_monitor.hpp"
 #include "net/link.hpp"
 #include "obs/fabric_observatory.hpp"
@@ -218,11 +217,11 @@ TEST(IntHarvest, CsvExportsAreWellFormed) {
 // --- deterministic sampling + FlowMonitor end to end (single switch) ---
 
 TEST(Sampling, PeriodOneSamplesEveryPacketIntoTheMonitor) {
-  core::TestbedConfig tb;
+  core::FabricConfig tb = core::chain_fabric(1);
   tb.switch_config.telemetry_sample_period = 1;
   tb.switch_config.telemetry_int_depth = 4;
   tb.controller_config.flow_monitor_enabled = true;
-  core::Testbed bed{tb};
+  core::FabricTestbed bed{tb};
   bed.warm_up();
   for (std::uint32_t seq = 0; seq < 5; ++seq) {
     for (std::uint64_t flow = 1; flow <= 2; ++flow) {
@@ -231,15 +230,14 @@ TEST(Sampling, PeriodOneSamplesEveryPacketIntoTheMonitor) {
           static_cast<std::uint16_t>(20000 + flow), 7, 400);
       p.flow_id = flow;
       p.seq_in_flow = seq;
-      bed.inject_from_host1(p);
+      bed.inject_from_host(0, p);
     }
   }
   bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(500));
-  bed.ovs().stop();
-  bed.controller().stop();
+  bed.stop();
   bed.sim().run();
 
-  const sw::SwitchCounters& sc = bed.ovs().counters();
+  const sw::SwitchCounters& sc = bed.switch_at(0).counters();
   EXPECT_EQ(sc.flow_samples_sent, 10u);   // 1-in-1: every ingress frame
   EXPECT_EQ(sc.int_stamps_applied, 10u);  // single hop, depth 4
   EXPECT_EQ(bed.controller().counters().flow_samples_seen, 10u);
@@ -262,10 +260,10 @@ TEST(Sampling, PeriodOneSamplesEveryPacketIntoTheMonitor) {
 
 TEST(Sampling, DeterministicAcrossRuns) {
   auto run_once = [](std::uint64_t salt) {
-    core::TestbedConfig tb;
+    core::FabricConfig tb = core::chain_fabric(1);
     tb.switch_config.telemetry_sample_period = 4;
     tb.switch_config.telemetry_sample_salt = salt;
-    core::Testbed bed{tb};
+    core::FabricTestbed bed{tb};
     bed.warm_up();
     for (std::uint32_t seq = 0; seq < 32; ++seq) {
       net::Packet p = net::make_udp_packet(
@@ -273,13 +271,12 @@ TEST(Sampling, DeterministicAcrossRuns) {
           static_cast<std::uint16_t>(21000 + (seq % 8)), 7, 400);
       p.flow_id = 1 + (seq % 8);
       p.seq_in_flow = seq / 8;
-      bed.inject_from_host1(p);
+      bed.inject_from_host(0, p);
     }
     bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(500));
-    bed.ovs().stop();
-    bed.controller().stop();
+    bed.stop();
     bed.sim().run();
-    return bed.ovs().counters().flow_samples_sent;
+    return bed.switch_at(0).counters().flow_samples_sent;
   };
   const std::uint64_t a = run_once(0);
   const std::uint64_t b = run_once(0);
