@@ -73,6 +73,11 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L model
 # fault planes compose under the sanitizers.
 "$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED" --force-faults \
   --force-fabric --force-link-faults --force-mmu
+# Combined pass with the telemetry plane: duplicated and jittered control
+# messages, route repair after link flaps and INT-stamped packets moving
+# hop to hop, all in one run. Fixed seed and budget (the CI smoke's).
+"$BUILD_DIR/tests/fuzz_scenarios" --runs 20 --seed 8000 --force-faults --force-fabric \
+  --force-link-faults --force-telemetry
 # Eighth pass with FIFO eviction forced on a small flow table: rules are
 # evicted out of the table's incremental victim order while packets wait in
 # the buffers, under the sanitizers. Fixed seed and budget (the CI smoke's).
@@ -103,4 +108,5 @@ export TSAN_OPTIONS="halt_on_error=1"
 # pass too.
 "$TSAN_DIR/tests/test_mmu"
 
-echo "sanitize_check: OK (8 x ${FUZZ_RUNS} scenarios x 3 modes, seed ${FUZZ_SEED}; 20 forced-FIFO; goldens; TSan clean)"
+echo "sanitize_check: OK (8 x ${FUZZ_RUNS} scenarios x 3 modes, seed ${FUZZ_SEED}; 20 combined" \
+  "telemetry at seed 8000; 20 forced-FIFO; goldens; TSan clean)"

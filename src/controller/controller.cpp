@@ -27,9 +27,7 @@ void Controller::connect(of::Channel& channel, std::uint64_t datapath_id) {
   SDNBUF_CHECK_MSG(switches_.count(datapath_id) == 0, "datapath already connected");
   switches_[datapath_id].channel = &channel;
   channel.set_controller_handler(
-      [this, datapath_id](const of::OfMessage& msg, std::size_t) {
-        on_message(datapath_id, msg);
-      });
+      [this, datapath_id](of::OfMessage& msg, std::size_t) { on_message(datapath_id, msg); });
 }
 
 Controller::SwitchBinding& Controller::binding(std::uint64_t datapath_id) {
@@ -74,8 +72,9 @@ void Controller::enable_topology_routing(topo::Router& router, RouteInstallMode 
 
 std::size_t Controller::installed_rules_on_link(std::size_t link_index) const {
   return static_cast<std::size_t>(
-      std::count_if(installed_rules_.begin(), installed_rules_.end(),
-                    [link_index](const InstalledRule& r) { return r.link == link_index; }));
+      std::count_if(installed_rules_.begin(), installed_rules_.end(), [link_index](const auto& r) {
+        return r.live && r.link == link_index;
+      }));
 }
 
 void Controller::record_installed_rule(std::uint64_t datapath_id, const of::Match& match,
@@ -94,35 +93,57 @@ void Controller::record_installed_rule(std::uint64_t datapath_id, const of::Matc
   const topo::NodeId sw = topology.switch_id(static_cast<unsigned>(datapath_id - 1));
   for (const topo::Topology::Adjacency& adj : topology.adjacency(sw)) {
     if (adj.port != out->port) continue;  // flood/controller ports match nothing
+    const auto [pos, inserted] = rule_index_.try_emplace(RuleKey{datapath_id, priority, match});
     // flow_mod ADD overwrites an identical match+priority entry on the
-    // switch, so refresh in place instead of double-counting.
-    for (InstalledRule& r : installed_rules_) {
-      if (r.datapath_id == datapath_id && r.priority == priority && r.match == match) {
-        r.link = adj.link;
-        return;
-      }
+    // switch, so refresh in place instead of double-counting. A new key, or
+    // one left pointing at a tombstone, gets a new entry at the end.
+    if (!inserted && installed_rules_[*pos].live) {
+      installed_rules_[*pos].link = adj.link;
+      return;
     }
+    *pos = installed_rules_.size();
     installed_rules_.push_back(InstalledRule{datapath_id, match, priority, adj.link});
+    ++live_rules_;
     return;
   }
 }
 
 void Controller::forget_rule(std::uint64_t datapath_id, const of::Match& match,
                              std::uint16_t priority) {
-  const auto it = std::find_if(installed_rules_.begin(), installed_rules_.end(),
-                               [&](const InstalledRule& r) {
-                                 return r.datapath_id == datapath_id && r.priority == priority &&
-                                        r.match == match;
-                               });
-  if (it != installed_rules_.end()) installed_rules_.erase(it);
+  const std::size_t* pos = rule_index_.find(RuleKey{datapath_id, priority, match});
+  if (pos == nullptr || !installed_rules_[*pos].live) return;
+  installed_rules_[*pos].live = false;
+  --live_rules_;
+  // Compact once tombstones outnumber live rules: amortized O(1) per forget.
+  if (installed_rules_.size() > 2 * live_rules_ + 64) compact_rules();
 }
 
 void Controller::forget_switch_rules(std::uint64_t datapath_id) {
-  installed_rules_.erase(std::remove_if(installed_rules_.begin(), installed_rules_.end(),
-                                        [datapath_id](const InstalledRule& r) {
-                                          return r.datapath_id == datapath_id;
-                                        }),
-                         installed_rules_.end());
+  std::erase_if(installed_rules_,
+                [datapath_id](const InstalledRule& r) { return r.datapath_id == datapath_id; });
+  compact_rules();
+}
+
+void Controller::compact_rules() {
+  std::erase_if(installed_rules_, [](const InstalledRule& r) { return !r.live; });
+  live_rules_ = installed_rules_.size();
+  rule_index_.clear();
+  for (std::size_t i = 0; i < installed_rules_.size(); ++i) {
+    const InstalledRule& r = installed_rules_[i];
+    rule_index_[RuleKey{r.datapath_id, r.priority, r.match}] = i;
+  }
+}
+
+std::vector<Controller::InstalledRule> Controller::take_rules(std::optional<std::size_t> link) {
+  std::vector<InstalledRule> taken;
+  for (InstalledRule& r : installed_rules_) {
+    if (r.live && (!link || r.link == *link)) {
+      taken.push_back(r);
+      r.live = false;
+    }
+  }
+  compact_rules();
+  return taken;
 }
 
 void Controller::set_invariant_observer_for(std::uint64_t datapath_id,
@@ -206,8 +227,8 @@ void Controller::request_port_stats(std::uint16_t port_no) {
   }
 }
 
-void Controller::on_message(std::uint64_t datapath_id, const of::OfMessage& msg) {
-  if (const auto* pi = std::get_if<of::PacketIn>(&msg)) {
+void Controller::on_message(std::uint64_t datapath_id, of::OfMessage& msg) {
+  if (auto* pi = std::get_if<of::PacketIn>(&msg)) {
     if (config_.drop_pkt_in_probability > 0.0 &&
         rng_.next_double() < config_.drop_pkt_in_probability) {
       ++counters_.pkt_ins_dropped;
@@ -216,18 +237,18 @@ void Controller::on_message(std::uint64_t datapath_id, const of::OfMessage& msg)
       }
       return;
     }
-    handle_packet_in(datapath_id, *pi);
+    handle_packet_in(datapath_id, std::move(*pi));
   } else if (std::holds_alternative<of::Error>(msg)) {
     ++counters_.errors_seen;
-  } else if (const auto* flow_stats = std::get_if<of::FlowStatsReply>(&msg)) {
+  } else if (auto* flow_stats = std::get_if<of::FlowStatsReply>(&msg)) {
     account_stats_reply(datapath_id, flow_stats->xid);
-    last_flow_stats_ = *flow_stats;
+    last_flow_stats_ = std::move(*flow_stats);
   } else if (const auto* agg = std::get_if<of::AggregateStatsReply>(&msg)) {
     account_stats_reply(datapath_id, agg->xid);
     last_aggregate_stats_ = *agg;
-  } else if (const auto* port_stats = std::get_if<of::PortStatsReply>(&msg)) {
+  } else if (auto* port_stats = std::get_if<of::PortStatsReply>(&msg)) {
     account_stats_reply(datapath_id, port_stats->xid);
-    last_port_stats_ = *port_stats;
+    last_port_stats_ = std::move(*port_stats);
   } else if (const auto* sample = std::get_if<of::FlowSample>(&msg)) {
     ++counters_.flow_samples_seen;
     if (monitor_ != nullptr) {
@@ -302,21 +323,15 @@ void Controller::handle_port_status(std::uint64_t datapath_id, const of::PortSta
       // whole table on link-up keeps the installed rules loop-free: between
       // two up-events the down-set only grows, so all surviving rules were
       // computed against nested failure snapshots and compose acyclically.
-      std::vector<InstalledRule> doomed = std::move(installed_rules_);
-      installed_rules_.clear();
-      send_rule_deletes(std::move(doomed));
+      send_rule_deletes(take_rules(std::nullopt));
       return;
     }
     ++counters_.link_down_events;
     // Every recorded rule riding the dead link is now forwarding into a
     // black hole: delete it on its switch so the next packet of the flow
-    // misses and reroutes over the repaired tables. stable_partition keeps
-    // install order, so the delete sequence is deterministic.
-    const auto it = std::stable_partition(installed_rules_.begin(), installed_rules_.end(),
-                                          [link](const InstalledRule& r) { return r.link != link; });
-    std::vector<InstalledRule> doomed(it, installed_rules_.end());
-    installed_rules_.erase(it, installed_rules_.end());
-    send_rule_deletes(std::move(doomed));
+    // misses and reroutes over the repaired tables. The book keeps install
+    // order, so the delete sequence is deterministic.
+    send_rule_deletes(take_rules(link));
   });
 }
 
@@ -332,12 +347,12 @@ void Controller::send_rule_deletes(std::vector<InstalledRule> doomed) {
       fm.command = of::FlowModCommand::DeleteStrict;
       fm.priority = rule.priority;
       ++counters_.rules_invalidated;
-      b.channel->send_from_controller(fm);
+      b.channel->send_from_controller(std::move(fm));
     }
   });
 }
 
-void Controller::handle_packet_in(std::uint64_t datapath_id, const of::PacketIn& msg) {
+void Controller::handle_packet_in(std::uint64_t datapath_id, of::PacketIn msg) {
   ++counters_.pkt_ins_handled;
   if (instr_.pkt_in_bytes != nullptr) {
     instr_.pkt_in_bytes->record(static_cast<double>(msg.data.size()));
@@ -350,7 +365,7 @@ void Controller::handle_packet_in(std::uint64_t datapath_id, const of::PacketIn&
   const double parse_us = config_.costs.parse_base_us +
                           config_.costs.parse_per_byte_us * static_cast<double>(msg.data.size()) +
                           config_.costs.decision_us;
-  cpu_.submit(cost_us(parse_us), [this, datapath_id, msg]() {
+  cpu_.submit(cost_us(parse_us), [this, datapath_id, msg = std::move(msg)]() mutable {
     auto packet = net::Packet::parse(msg.data, msg.total_len);
     if (!packet) {
       ++counters_.parse_failures;
@@ -360,12 +375,12 @@ void Controller::handle_packet_in(std::uint64_t datapath_id, const of::PacketIn&
       SDNBUF_WARN("controller", "undecodable packet_in data");
       return;
     }
-    decide_and_respond(datapath_id, binding(datapath_id), msg, *packet);
+    decide_and_respond(datapath_id, binding(datapath_id), std::move(msg), *packet);
   });
 }
 
 void Controller::decide_and_respond(std::uint64_t datapath_id, SwitchBinding& binding,
-                                    const of::PacketIn& msg, const net::Packet& packet) {
+                                    of::PacketIn msg, const net::Packet& packet) {
   of::Channel* channel = binding.channel;
   SDNBUF_CHECK(channel != nullptr);
 
@@ -374,7 +389,7 @@ void Controller::decide_and_respond(std::uint64_t datapath_id, SwitchBinding& bi
   if (!packet.eth.src.is_multicast()) binding.mac_table[packet.eth.src] = msg.in_port;
 
   if (router_ != nullptr) {
-    route_and_respond(datapath_id, binding, msg, packet);
+    route_and_respond(datapath_id, binding, std::move(msg), packet);
     return;
   }
 
@@ -384,105 +399,104 @@ void Controller::decide_and_respond(std::uint64_t datapath_id, SwitchBinding& bi
     // Unknown destination: flood, and install nothing (the next packet_in
     // for this flow gets another chance once the destination is learned).
     ++counters_.floods;
-    const double encode_us = config_.costs.encode_pkt_out_base_us +
-                             config_.costs.encode_pkt_out_per_byte_us *
-                                 static_cast<double>(msg.data.size());
-    cpu_.submit(cost_us(encode_us), [this, channel, msg]() {
-      of::PacketOut out;
-      out.xid = msg.xid;
-      out.buffer_id = msg.buffer_id;
-      out.in_port = msg.in_port;
-      out.actions = of::output_to(of::kPortFlood);
-      if (msg.buffer_id == of::kNoBuffer) out.data = msg.data;
-      ++counters_.pkt_outs_sent;
-      channel->send_from_controller(out);
-    });
+    // The flood's encode cost counts the whole data field, buffered or not.
+    const std::size_t data_bytes = msg.data.size();
+    submit_packet_out(channel, packet_out_for(msg, of::output_to(of::kPortFlood)), data_bytes);
     return;
   }
 
-  respond_with_actions(datapath_id, binding, msg, packet, of::output_to(it->second));
+  respond_with_actions(datapath_id, binding, std::move(msg), packet, of::output_to(it->second));
+}
+
+of::PacketOut Controller::packet_out_for(of::PacketIn& msg, of::ActionList actions) {
+  of::PacketOut out;
+  out.xid = msg.xid;
+  out.buffer_id = msg.buffer_id;
+  out.in_port = msg.in_port;
+  out.actions = std::move(actions);
+  // The packet_out re-encapsulates the full frame only in no-buffer mode;
+  // with a valid buffer_id it carries just the reference.
+  if (msg.buffer_id == of::kNoBuffer) out.data = std::move(msg.data);
+  return out;
+}
+
+void Controller::send_packet_out(of::Channel* channel, of::PacketIn msg, of::ActionList actions) {
+  of::PacketOut out = packet_out_for(msg, std::move(actions));
+  const std::size_t data_bytes = out.data.size();
+  submit_packet_out(channel, std::move(out), data_bytes);
+}
+
+void Controller::submit_packet_out(of::Channel* channel, of::PacketOut out,
+                                   std::size_t data_bytes) {
+  const double encode_us = config_.costs.encode_pkt_out_base_us +
+                           config_.costs.encode_pkt_out_per_byte_us *
+                               static_cast<double>(data_bytes);
+  cpu_.submit(cost_us(encode_us), [this, channel, out = std::move(out)]() mutable {
+    ++counters_.pkt_outs_sent;
+    channel->send_from_controller(std::move(out));
+  });
 }
 
 void Controller::respond_with_actions(std::uint64_t datapath_id, SwitchBinding& binding,
-                                      const of::PacketIn& msg, const net::Packet& packet,
-                                      const of::ActionList& actions) {
+                                      of::PacketIn msg, const net::Packet& packet,
+                                      of::ActionList actions) {
   of::Channel* channel = binding.channel;
   SDNBUF_CHECK(channel != nullptr);
 
-  // Floodlight sends the flow_mod first and the packet_out second; chaining
-  // the encode jobs preserves that order on the FIFO channel.
-  auto send_pkt_out = [this, channel, msg, actions]() {
-    // The packet_out re-encapsulates the full frame only in no-buffer mode;
-    // with a valid buffer_id it carries just the reference.
-    const std::size_t data_bytes = msg.buffer_id == of::kNoBuffer ? msg.data.size() : 0;
-    const double encode_us =
-        config_.costs.encode_pkt_out_base_us +
-        config_.costs.encode_pkt_out_per_byte_us * static_cast<double>(data_bytes);
-    cpu_.submit(cost_us(encode_us), [this, channel, msg, actions]() {
-      of::PacketOut out;
-      out.xid = msg.xid;
-      out.buffer_id = msg.buffer_id;
-      out.in_port = msg.in_port;
-      out.actions = actions;
-      if (msg.buffer_id == of::kNoBuffer) out.data = msg.data;
-      ++counters_.pkt_outs_sent;
-      channel->send_from_controller(out);
-    });
-  };
-
   if (!config_.install_rules) {
-    send_pkt_out();
+    send_packet_out(channel, std::move(msg), std::move(actions));
     return;
   }
+  // Floodlight sends the flow_mod first and the packet_out second; chaining
+  // the encode jobs preserves that order on the FIFO channel. Both messages
+  // are built here and ride the jobs; the packet_out's encode cost is drawn
+  // when the flow_mod has gone out, as its job is submitted then.
   const bool piggyback = config_.piggyback_buffer_id && msg.buffer_id != of::kNoBuffer;
-  cpu_.submit(cost_us(config_.costs.encode_flow_mod_us),
-              [this, datapath_id, channel, msg, packet, actions, send_pkt_out, piggyback]() {
-    of::FlowMod fm;
-    fm.xid = msg.xid;  // responses echo the request xid (delay attribution)
-    fm.match = of::Match::exact_from(packet, msg.in_port);
-    if (config_.aggregate_src_bits > 0) {
-      // Aggregated rule: one entry covers a source-IP block instead of a
-      // single micro flow (trades per-flow counters for fewer misses).
-      fm.match.set_nw_src_ignored_bits(config_.aggregate_src_bits);
-      fm.match.wildcards |= of::kWildcardTpSrc | of::kWildcardTpDst | of::kWildcardDlSrc;
-    }
-    fm.command = of::FlowModCommand::Add;
-    fm.idle_timeout_s = config_.rule_idle_timeout_s;
-    fm.hard_timeout_s = config_.rule_hard_timeout_s;
-    fm.priority = config_.rule_priority;
-    // Piggyback: the flow_mod itself names the buffered packet, so the
-    // switch installs the rule and releases the packet in one message.
-    fm.buffer_id = piggyback ? msg.buffer_id : of::kNoBuffer;
-    if (config_.request_flow_removed) fm.flags |= of::kFlowModSendFlowRem;
+  of::FlowMod fm;
+  fm.xid = msg.xid;  // responses echo the request xid (delay attribution)
+  fm.match = of::Match::exact_from(packet, msg.in_port);
+  if (config_.aggregate_src_bits > 0) {
+    // Aggregated rule: one entry covers a source-IP block instead of a
+    // single micro flow (trades per-flow counters for fewer misses).
+    fm.match.set_nw_src_ignored_bits(config_.aggregate_src_bits);
+    fm.match.wildcards |= of::kWildcardTpSrc | of::kWildcardTpDst | of::kWildcardDlSrc;
+  }
+  fm.command = of::FlowModCommand::Add;
+  fm.idle_timeout_s = config_.rule_idle_timeout_s;
+  fm.hard_timeout_s = config_.rule_hard_timeout_s;
+  fm.priority = config_.rule_priority;
+  // Piggyback: the flow_mod itself names the buffered packet, so the
+  // switch installs the rule and releases the packet in one message.
+  fm.buffer_id = piggyback ? msg.buffer_id : of::kNoBuffer;
+  if (config_.request_flow_removed) fm.flags |= of::kFlowModSendFlowRem;
+  std::optional<of::PacketOut> out;
+  if (piggyback) {
+    fm.actions = std::move(actions);
+  } else {
     fm.actions = actions;
+    out = packet_out_for(msg, std::move(actions));
+  }
+  cpu_.submit(cost_us(config_.costs.encode_flow_mod_us),
+              [this, datapath_id, channel, fm = std::move(fm), out = std::move(out)]() mutable {
     ++counters_.flow_mods_sent;
     record_installed_rule(datapath_id, fm.match, fm.priority, fm.actions);
-    channel->send_from_controller(fm);
-    if (!piggyback) send_pkt_out();
+    channel->send_from_controller(std::move(fm));
+    if (out) {
+      const std::size_t data_bytes = out->data.size();
+      submit_packet_out(channel, std::move(*out), data_bytes);
+    }
   });
 }
 
 void Controller::route_and_respond(std::uint64_t datapath_id, SwitchBinding& binding,
-                                   const of::PacketIn& msg, const net::Packet& packet) {
+                                   of::PacketIn msg, const net::Packet& packet) {
   const topo::Topology& topology = router_->topology();
 
   // A drop packet_out (empty action list): releases any buffered copy and
   // keeps the switch-side accounting closed.
-  auto drop_packet = [this, channel = binding.channel, msg]() {
+  const auto drop_packet = [&] {
     ++counters_.unroutable_drops;
-    const std::size_t data_bytes = msg.buffer_id == of::kNoBuffer ? msg.data.size() : 0;
-    const double encode_us =
-        config_.costs.encode_pkt_out_base_us +
-        config_.costs.encode_pkt_out_per_byte_us * static_cast<double>(data_bytes);
-    cpu_.submit(cost_us(encode_us), [this, channel, msg]() {
-      of::PacketOut out;
-      out.xid = msg.xid;
-      out.buffer_id = msg.buffer_id;
-      out.in_port = msg.in_port;
-      if (msg.buffer_id == of::kNoBuffer) out.data = msg.data;
-      ++counters_.pkt_outs_sent;
-      channel->send_from_controller(out);
-    });
+    send_packet_out(binding.channel, std::move(msg), of::drop());
   };
 
   const auto dst = topology.host_by_mac(packet.eth.dst);
@@ -503,7 +517,7 @@ void Controller::route_and_respond(std::uint64_t datapath_id, SwitchBinding& bin
       drop_packet();
       return;
     }
-    respond_with_actions(datapath_id, binding, msg, packet, of::output_to(*port));
+    respond_with_actions(datapath_id, binding, std::move(msg), packet, of::output_to(*port));
     return;
   }
 
@@ -515,8 +529,8 @@ void Controller::route_and_respond(std::uint64_t datapath_id, SwitchBinding& bin
     drop_packet();
     return;
   }
-  auto hops = std::make_shared<std::vector<PathHop>>();
-  hops->reserve(path.size() - 1);
+  auto install = std::make_shared<PathInstall>();
+  install->hops.reserve(path.size() - 1);
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     PathHop hop;
     hop.datapath_id = static_cast<std::uint64_t>(topology.index_of(path[i])) + 1;
@@ -530,30 +544,31 @@ void Controller::route_and_respond(std::uint64_t datapath_id, SwitchBinding& bin
     const auto out = topology.port_to(path[i], path[i + 1]);
     SDNBUF_CHECK(out.has_value());
     hop.out_port = *out;
-    hops->push_back(hop);
+    install->hops.push_back(hop);
   }
-  install_remaining_hops(std::move(hops), 1, datapath_id, msg, packet);
+  install->origin_dpid = datapath_id;
+  install->msg = std::move(msg);
+  install->packet = packet;
+  install_remaining_hops(std::move(install), 1);
 }
 
-void Controller::install_remaining_hops(std::shared_ptr<const std::vector<PathHop>> hops,
-                                        std::size_t idx, std::uint64_t origin_dpid,
-                                        of::PacketIn msg, net::Packet packet) {
-  if (idx >= hops->size()) {
-    respond_with_actions(origin_dpid, binding(origin_dpid), msg, packet,
-                         of::output_to(hops->front().out_port));
+void Controller::install_remaining_hops(std::shared_ptr<PathInstall> install, std::size_t idx) {
+  if (idx >= install->hops.size()) {
+    const std::uint64_t origin = install->origin_dpid;
+    respond_with_actions(origin, binding(origin), std::move(install->msg), install->packet,
+                         of::output_to(install->hops.front().out_port));
     return;
   }
-  const PathHop hop = (*hops)[idx];
   cpu_.submit(cost_us(config_.costs.encode_flow_mod_us),
-              [this, hops = std::move(hops), idx, origin_dpid, msg = std::move(msg),
-               packet = std::move(packet), hop]() mutable {
+              [this, install = std::move(install), idx]() mutable {
+    const PathHop& hop = install->hops[idx];
     SwitchBinding& b = binding(hop.datapath_id);
     of::FlowMod fm;
     // Proactive installs are not answering any packet_in on this channel, so
     // they carry a fresh xid (the per-switch invariant registries are told
     // to expect unpaired flow_mods in this mode).
     fm.xid = b.channel->next_controller_xid();
-    fm.match = of::Match::exact_from(packet, hop.in_port);
+    fm.match = of::Match::exact_from(install->packet, hop.in_port);
     fm.command = of::FlowModCommand::Add;
     fm.idle_timeout_s = config_.rule_idle_timeout_s;
     fm.hard_timeout_s = config_.rule_hard_timeout_s;
@@ -563,9 +578,8 @@ void Controller::install_remaining_hops(std::shared_ptr<const std::vector<PathHo
     ++counters_.flow_mods_sent;
     ++counters_.path_preinstalls;
     record_installed_rule(hop.datapath_id, fm.match, fm.priority, fm.actions);
-    b.channel->send_from_controller(fm);
-    install_remaining_hops(std::move(hops), idx + 1, origin_dpid, std::move(msg),
-                           std::move(packet));
+    b.channel->send_from_controller(std::move(fm));
+    install_remaining_hops(std::move(install), idx + 1);
   });
 }
 

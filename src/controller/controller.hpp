@@ -29,6 +29,7 @@
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
 #include "topo/routing.hpp"
+#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "verify/observer.hpp"
 
@@ -195,7 +196,7 @@ class Controller {
 
   // Installed-rule bookkeeping (topology mode): number of rules the
   // controller believes are live, and how many ride a given topology link.
-  [[nodiscard]] std::size_t installed_rule_count() const { return installed_rules_.size(); }
+  [[nodiscard]] std::size_t installed_rule_count() const { return live_rules_; }
   [[nodiscard]] std::size_t installed_rules_on_link(std::size_t link_index) const;
 
   void reset_counters() {
@@ -242,30 +243,61 @@ class Controller {
 
   // One rule the controller installed somewhere on the fabric, remembered so
   // route repair can find everything that traverses a failed link. `link` is
-  // the topology link the rule's output port crosses.
+  // the topology link the rule's output port crosses. A forgotten rule stays
+  // in place as a tombstone (`live` false) until the book is compacted.
   struct InstalledRule {
     std::uint64_t datapath_id = 0;
     of::Match match;
     std::uint16_t priority = 0;
     std::size_t link = 0;
+    bool live = true;
   };
 
-  void on_message(std::uint64_t datapath_id, const of::OfMessage& msg);
-  void handle_packet_in(std::uint64_t datapath_id, const of::PacketIn& msg);
+  // A switch holds at most one rule per (datapath, priority, match): that is
+  // the rule book's index key.
+  struct RuleKey {
+    std::uint64_t datapath_id = 0;
+    std::uint16_t priority = 0;
+    of::Match match;
+    bool operator==(const RuleKey&) const = default;
+  };
+  struct RuleKeyHash {
+    std::size_t operator()(const RuleKey& k) const {
+      return util::mix64(of::MatchHash{}(k.match) ^ k.datapath_id << 16 ^ k.priority);
+    }
+  };
+
+  // A full-path install in progress: the hops still to program and the
+  // packet_in the originating switch is waiting on.
+  struct PathInstall {
+    std::vector<PathHop> hops;
+    std::uint64_t origin_dpid = 0;
+    of::PacketIn msg;
+    net::Packet packet;
+  };
+
+  void on_message(std::uint64_t datapath_id, of::OfMessage& msg);
+  void handle_packet_in(std::uint64_t datapath_id, of::PacketIn msg);
   // Data-plane fault repair: resolves the reported port to a topology link,
   // flips it in the router (rebuilding the ECMP tables), and on link-down
   // deletes every recorded rule that rides the link.
   void handle_port_status(std::uint64_t datapath_id, const of::PortStatus& msg);
-  void decide_and_respond(std::uint64_t datapath_id, SwitchBinding& binding,
-                          const of::PacketIn& msg, const net::Packet& packet);
+  void decide_and_respond(std::uint64_t datapath_id, SwitchBinding& binding, of::PacketIn msg,
+                          const net::Packet& packet);
   // Topology-routing counterpart of decide_and_respond.
-  void route_and_respond(std::uint64_t datapath_id, SwitchBinding& binding,
-                         const of::PacketIn& msg, const net::Packet& packet);
+  void route_and_respond(std::uint64_t datapath_id, SwitchBinding& binding, of::PacketIn msg,
+                         const net::Packet& packet);
   // The flow_mod + packet_out answer toward the switch that raised the
   // packet_in (shared by the learning and routing applications).
-  void respond_with_actions(std::uint64_t datapath_id, SwitchBinding& binding,
-                            const of::PacketIn& msg, const net::Packet& packet,
-                            const of::ActionList& actions);
+  void respond_with_actions(std::uint64_t datapath_id, SwitchBinding& binding, of::PacketIn msg,
+                            const net::Packet& packet, of::ActionList actions);
+  // The packet_out answering `msg` with `actions`; it takes the frame out of
+  // `msg` when nothing is buffered.
+  [[nodiscard]] static of::PacketOut packet_out_for(of::PacketIn& msg, of::ActionList actions);
+  // Encodes a packet_out in its own CPU job (cost by `data_bytes` of frame
+  // data), then sends it.
+  void submit_packet_out(of::Channel* channel, of::PacketOut out, std::size_t data_bytes);
+  void send_packet_out(of::Channel* channel, of::PacketIn msg, of::ActionList actions);
   // Bookkeeping helpers (all no-ops outside topology mode).
   void record_installed_rule(std::uint64_t datapath_id, const of::Match& match,
                              std::uint16_t priority, const of::ActionList& actions);
@@ -274,10 +306,14 @@ class Controller {
   // Encodes one DeleteStrict per doomed rule (one CPU job for the batch) and
   // sends them to their switches, counting counters_.rules_invalidated.
   void send_rule_deletes(std::vector<InstalledRule> doomed);
+  // Takes the live rules out of the book, in install order: all of them, or
+  // only those riding `link`.
+  [[nodiscard]] std::vector<InstalledRule> take_rules(std::optional<std::size_t> link);
+  // Drops tombstones (keeping install order) and re-indexes the book.
+  void compact_rules();
   // Installs rules on hops[idx..] one CPU job at a time, then answers the
   // originating switch (hops[0]) with respond_with_actions.
-  void install_remaining_hops(std::shared_ptr<const std::vector<PathHop>> hops, std::size_t idx,
-                              std::uint64_t origin_dpid, of::PacketIn msg, net::Packet packet);
+  void install_remaining_hops(std::shared_ptr<PathInstall> install, std::size_t idx);
   [[nodiscard]] verify::InvariantObserver* observer_for(std::uint64_t datapath_id);
   // Matches a stats reply against outstanding_stats_ (seen vs unmatched).
   void account_stats_reply(std::uint64_t datapath_id, std::uint32_t xid);
@@ -292,7 +328,10 @@ class Controller {
   std::map<std::uint64_t, SwitchBinding> switches_;
   topo::Router* router_ = nullptr;
   RouteInstallMode route_mode_ = RouteInstallMode::PerHopReactive;
+  // The rule book, in install order (tombstones included), indexed by key.
   std::vector<InstalledRule> installed_rules_;
+  util::FlatMap<RuleKey, std::size_t, RuleKeyHash> rule_index_;
+  std::size_t live_rules_ = 0;
   ControllerCounters counters_;
   obs::ControllerInstruments instr_;
   std::unique_ptr<FlowMonitor> monitor_;

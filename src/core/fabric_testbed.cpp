@@ -289,13 +289,13 @@ void FabricTestbed::wire_ports() {
         // The handoff closure executes on the *receiving* switch's shard.
         sim::Simulator* psim = &shard_sim(switch_shard_[pi]);
         switches_[si]->attach_port(adj.port, egress,
-                                   [this, si, pi, peer_port, psim](const net::Packet& p) {
+                                   [this, si, pi, peer_port, psim](net::Packet&& p) {
           // Cross-switch handoff: the sender's registry closes its account,
           // the receiver's opens one (the observatory's fate adapters ignore
           // both — its ledger is endpoint-to-endpoint).
           if (chain_[si] != nullptr) chain_[si]->on_packet_delivered(p, psim->now());
           if (chain_[pi] != nullptr) chain_[pi]->on_packet_injected(p, psim->now());
-          switches_[pi]->receive(peer_port, p);
+          switches_[pi]->receive(peer_port, std::move(p));
         });
       }
     }

@@ -6,8 +6,6 @@ namespace sdnbuf::net {
 
 using util::get_be16;
 using util::get_be32;
-using util::put_be16;
-using util::put_be32;
 
 std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   std::uint32_t sum = 0;
@@ -18,10 +16,10 @@ std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   return static_cast<std::uint16_t>(~sum);
 }
 
-void EthernetHeader::encode(std::vector<std::uint8_t>& out) const {
-  out.insert(out.end(), dst.octets().begin(), dst.octets().end());
-  out.insert(out.end(), src.octets().begin(), src.octets().end());
-  put_be16(out, ethertype);
+void EthernetHeader::encode(util::ByteCursor& out) const {
+  out.bytes(dst.octets());
+  out.bytes(src.octets());
+  out.be16(ethertype);
 }
 
 std::optional<EthernetHeader> EthernetHeader::decode(std::span<const std::uint8_t> in) {
@@ -36,22 +34,21 @@ std::optional<EthernetHeader> EthernetHeader::decode(std::span<const std::uint8_
   return h;
 }
 
-void Ipv4Header::encode(std::vector<std::uint8_t>& out) const {
-  const std::size_t start = out.size();
-  out.push_back(0x45);  // version 4, IHL 5
-  out.push_back(dscp);
-  put_be16(out, total_length);
-  put_be16(out, identification);
-  put_be16(out, 0x4000);  // flags: DF, fragment offset 0
-  out.push_back(ttl);
-  out.push_back(protocol);
-  put_be16(out, 0);  // checksum placeholder
-  put_be32(out, src.value());
-  put_be32(out, dst.value());
-  const std::uint16_t csum =
-      internet_checksum(std::span<const std::uint8_t>(out.data() + start, kSize));
-  out[start + 10] = static_cast<std::uint8_t>(csum >> 8);
-  out[start + 11] = static_cast<std::uint8_t>(csum);
+void Ipv4Header::encode(util::ByteCursor& out) const {
+  std::uint8_t* const start = out.pos();
+  out.u8(0x45);  // version 4, IHL 5
+  out.u8(dscp);
+  out.be16(total_length);
+  out.be16(identification);
+  out.be16(0x4000);  // flags: DF, fragment offset 0
+  out.u8(ttl);
+  out.u8(protocol);
+  out.be16(0);  // checksum placeholder
+  out.be32(src.value());
+  out.be32(dst.value());
+  const std::uint16_t csum = internet_checksum(std::span<const std::uint8_t>(start, kSize));
+  start[10] = static_cast<std::uint8_t>(csum >> 8);
+  start[11] = static_cast<std::uint8_t>(csum);
 }
 
 std::optional<Ipv4Header> Ipv4Header::decode(std::span<const std::uint8_t> in) {
@@ -69,11 +66,11 @@ std::optional<Ipv4Header> Ipv4Header::decode(std::span<const std::uint8_t> in) {
   return h;
 }
 
-void UdpHeader::encode(std::vector<std::uint8_t>& out) const {
-  put_be16(out, src_port);
-  put_be16(out, dst_port);
-  put_be16(out, length);
-  put_be16(out, 0);  // checksum optional in IPv4; 0 == not computed
+void UdpHeader::encode(util::ByteCursor& out) const {
+  out.be16(src_port);
+  out.be16(dst_port);
+  out.be16(length);
+  out.be16(0);  // checksum optional in IPv4; 0 == not computed
 }
 
 std::optional<UdpHeader> UdpHeader::decode(std::span<const std::uint8_t> in) {
@@ -85,16 +82,16 @@ std::optional<UdpHeader> UdpHeader::decode(std::span<const std::uint8_t> in) {
   return h;
 }
 
-void TcpHeader::encode(std::vector<std::uint8_t>& out) const {
-  put_be16(out, src_port);
-  put_be16(out, dst_port);
-  put_be32(out, seq);
-  put_be32(out, ack);
-  out.push_back(0x50);  // data offset 5 words
-  out.push_back(flags);
-  put_be16(out, window);
-  put_be16(out, 0);  // checksum: not modelled (needs pseudo-header over payload)
-  put_be16(out, 0);  // urgent pointer
+void TcpHeader::encode(util::ByteCursor& out) const {
+  out.be16(src_port);
+  out.be16(dst_port);
+  out.be32(seq);
+  out.be32(ack);
+  out.u8(0x50);  // data offset 5 words
+  out.u8(flags);
+  out.be16(window);
+  out.be16(0);  // checksum: not modelled (needs pseudo-header over payload)
+  out.be16(0);  // urgent pointer
 }
 
 std::optional<TcpHeader> TcpHeader::decode(std::span<const std::uint8_t> in) {

@@ -9,9 +9,9 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "net/address.hpp"
+#include "util/byte_order.hpp"
 
 namespace sdnbuf::net {
 
@@ -38,7 +38,7 @@ struct EthernetHeader {
   MacAddress src;
   std::uint16_t ethertype = kEtherTypeIpv4;
 
-  void encode(std::vector<std::uint8_t>& out) const;
+  void encode(util::ByteCursor& out) const;
   [[nodiscard]] static std::optional<EthernetHeader> decode(std::span<const std::uint8_t> in);
 
   bool operator==(const EthernetHeader&) const = default;
@@ -56,7 +56,7 @@ struct Ipv4Header {
   Ipv4Address dst;
 
   // Encodes with a correct header checksum.
-  void encode(std::vector<std::uint8_t>& out) const;
+  void encode(util::ByteCursor& out) const;
   // Decodes and verifies the checksum; nullopt on truncation/corruption.
   [[nodiscard]] static std::optional<Ipv4Header> decode(std::span<const std::uint8_t> in);
 
@@ -70,7 +70,7 @@ struct UdpHeader {
   std::uint16_t dst_port = 0;
   std::uint16_t length = kSize;  // UDP header + payload
 
-  void encode(std::vector<std::uint8_t>& out) const;
+  void encode(util::ByteCursor& out) const;
   [[nodiscard]] static std::optional<UdpHeader> decode(std::span<const std::uint8_t> in);
 
   bool operator==(const UdpHeader&) const = default;
@@ -86,7 +86,7 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
 
-  void encode(std::vector<std::uint8_t>& out) const;
+  void encode(util::ByteCursor& out) const;
   [[nodiscard]] static std::optional<TcpHeader> decode(std::span<const std::uint8_t> in);
 
   bool operator==(const TcpHeader&) const = default;

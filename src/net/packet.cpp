@@ -1,6 +1,8 @@
 #include "net/packet.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 
 #include "util/check.hpp"
 
@@ -29,21 +31,22 @@ std::size_t Packet::header_size() const {
 }
 
 void Packet::serialize_into(std::size_t max_bytes, std::vector<std::uint8_t>& out) const {
-  out.clear();
   const std::size_t want = std::min<std::size_t>(frame_size, max_bytes);
-  out.reserve(want);
-  eth.encode(out);
-  ip.encode(out);
+  out.clear();
+  out.resize(want);  // zero payload
+  // Headers go through a cursor into a scratch block, then as many of their
+  // bytes as the capture keeps (miss_send_len may be shorter than them).
+  std::array<std::uint8_t, EthernetHeader::kSize + Ipv4Header::kSize + TcpHeader::kSize> headers{};
+  util::ByteCursor cursor(headers.data());
+  eth.encode(cursor);
+  ip.encode(cursor);
   if (ip.protocol == kIpProtoUdp) {
-    udp.encode(out);
+    udp.encode(cursor);
   } else if (ip.protocol == kIpProtoTcp) {
-    tcp.encode(out);
+    tcp.encode(cursor);
   }
-  if (out.size() > want) {
-    out.resize(want);  // truncated capture (miss_send_len shorter than headers)
-  } else {
-    out.insert(out.end(), want - out.size(), 0);  // zero payload
-  }
+  const auto written = static_cast<std::size_t>(cursor.pos() - headers.data());
+  if (want > 0) std::memcpy(out.data(), headers.data(), std::min(written, want));
 }
 
 std::vector<std::uint8_t> Packet::serialize(std::size_t max_bytes) const {

@@ -7,8 +7,6 @@
 namespace sdnbuf::of {
 
 using util::get_be16;
-using util::put_be16;
-using util::put_pad;
 
 namespace {
 
@@ -32,23 +30,23 @@ std::size_t encoded_size(const ActionList& actions) {
   return n;
 }
 
-void encode_actions(const ActionList& actions, std::vector<std::uint8_t>& out) {
+void encode_actions(const ActionList& actions, util::ByteCursor& out) {
   for (const auto& a : actions) {
     if (const auto* o = std::get_if<OutputAction>(&a)) {
-      put_be16(out, kTypeOutput);
-      put_be16(out, kOutputSize);
-      put_be16(out, o->port);
-      put_be16(out, o->max_len);
+      out.be16(kTypeOutput);
+      out.be16(kOutputSize);
+      out.be16(o->port);
+      out.be16(o->max_len);
     } else if (const auto* s = std::get_if<SetDlSrcAction>(&a)) {
-      put_be16(out, kTypeSetDlSrc);
-      put_be16(out, kSetDlSize);
-      out.insert(out.end(), s->mac.octets().begin(), s->mac.octets().end());
-      put_pad(out, 6);
+      out.be16(kTypeSetDlSrc);
+      out.be16(kSetDlSize);
+      out.bytes(s->mac.octets());
+      out.pad(6);
     } else if (const auto* d = std::get_if<SetDlDstAction>(&a)) {
-      put_be16(out, kTypeSetDlDst);
-      put_be16(out, kSetDlSize);
-      out.insert(out.end(), d->mac.octets().begin(), d->mac.octets().end());
-      put_pad(out, 6);
+      out.be16(kTypeSetDlDst);
+      out.be16(kSetDlSize);
+      out.bytes(d->mac.octets());
+      out.pad(6);
     }
   }
 }

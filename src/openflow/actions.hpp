@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "net/address.hpp"
+#include "util/byte_order.hpp"
 
 namespace sdnbuf::of {
 
@@ -45,7 +46,7 @@ using ActionList = std::vector<Action>;
 [[nodiscard]] std::size_t encoded_size(const Action& a);
 [[nodiscard]] std::size_t encoded_size(const ActionList& actions);
 
-void encode_actions(const ActionList& actions, std::vector<std::uint8_t>& out);
+void encode_actions(const ActionList& actions, util::ByteCursor& out);
 
 // Decodes exactly `len` bytes of actions; nullopt on malformed input.
 [[nodiscard]] std::optional<ActionList> decode_actions(std::span<const std::uint8_t> in,

@@ -120,7 +120,8 @@ void Channel::transmit(net::Link& link, Handler& handler, std::vector<std::uint8
     if (when <= rsim.now()) {
       if (handler) handler(*decoded, wire_bytes);
     } else {
-      rsim.schedule(when - rsim.now(), [&handler, delivered = *decoded, wire_bytes]() {
+      rsim.schedule(when - rsim.now(),
+                    [&handler, delivered = std::move(*decoded), wire_bytes]() mutable {
         sim::ScopedProfileTag tag{"channel"};
         if (handler) handler(delivered, wire_bytes);
       });
@@ -180,13 +181,13 @@ std::size_t Channel::send(net::Link& link, MessageCounters& counters, Handler& h
   return wire_bytes;
 }
 
-std::size_t Channel::send_from_switch(const OfMessage& msg) {
+std::size_t Channel::send_from_switch(OfMessage msg) {
   SDNBUF_TRACE("channel", "switch -> controller: " << msg_type_name(message_type(msg)));
   return send(to_controller_, to_controller_counters_, controller_handler_, msg,
               /*to_controller=*/true);
 }
 
-std::size_t Channel::send_from_controller(const OfMessage& msg) {
+std::size_t Channel::send_from_controller(OfMessage msg) {
   SDNBUF_TRACE("channel", "controller -> switch: " << msg_type_name(message_type(msg)));
   return send(to_switch_, to_switch_counters_, switch_handler_, msg,
               /*to_controller=*/false);

@@ -96,8 +96,9 @@ struct ChannelFaultCounters {
 class Channel {
  public:
   // Delivered message plus its size on the wire (OpenFlow bytes + transport
-  // framing), as a tcpdump capture would report it.
-  using Handler = std::function<void(const OfMessage&, std::size_t wire_bytes)>;
+  // framing), as a tcpdump capture would report it. Every delivery is its
+  // own decoded copy, so the receiver may move payloads out of it.
+  using Handler = std::function<void(OfMessage&, std::size_t wire_bytes)>;
 
   // `to_controller` carries switch->controller traffic; `to_switch` the
   // reverse direction. Links are owned by the caller (the testbed).
@@ -117,8 +118,9 @@ class Channel {
   void set_switch_handler(Handler h) { switch_handler_ = std::move(h); }
 
   // Sends and returns the wire size of the message (including framing).
-  std::size_t send_from_switch(const OfMessage& msg);
-  std::size_t send_from_controller(const OfMessage& msg);
+  // Senders hand their message over: `send_from_controller(std::move(fm))`.
+  std::size_t send_from_switch(OfMessage msg);
+  std::size_t send_from_controller(OfMessage msg);
 
   [[nodiscard]] const MessageCounters& to_controller_counters() const {
     return to_controller_counters_;

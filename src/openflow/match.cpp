@@ -5,14 +5,12 @@
 #include "openflow/constants.hpp"
 #include "util/byte_order.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace sdnbuf::of {
 
 using util::get_be16;
 using util::get_be32;
-using util::put_be16;
-using util::put_be32;
-using util::put_pad;
 
 namespace {
 
@@ -125,22 +123,22 @@ bool Match::subsumes(const Match& other) const {
   return true;
 }
 
-void Match::encode(std::vector<std::uint8_t>& out) const {
-  put_be32(out, wildcards);
-  put_be16(out, in_port);
-  out.insert(out.end(), dl_src.octets().begin(), dl_src.octets().end());
-  out.insert(out.end(), dl_dst.octets().begin(), dl_dst.octets().end());
-  put_be16(out, dl_vlan);
-  out.push_back(dl_vlan_pcp);
-  put_pad(out, 1);
-  put_be16(out, dl_type);
-  out.push_back(nw_tos);
-  out.push_back(nw_proto);
-  put_pad(out, 2);
-  put_be32(out, nw_src.value());
-  put_be32(out, nw_dst.value());
-  put_be16(out, tp_src);
-  put_be16(out, tp_dst);
+void Match::encode(util::ByteCursor& out) const {
+  out.be32(wildcards);
+  out.be16(in_port);
+  out.bytes(dl_src.octets());
+  out.bytes(dl_dst.octets());
+  out.be16(dl_vlan);
+  out.u8(dl_vlan_pcp);
+  out.pad(1);
+  out.be16(dl_type);
+  out.u8(nw_tos);
+  out.u8(nw_proto);
+  out.pad(2);
+  out.be32(nw_src.value());
+  out.be32(nw_dst.value());
+  out.be16(tp_src);
+  out.be16(tp_dst);
 }
 
 std::optional<Match> Match::decode(std::span<const std::uint8_t> in) {
@@ -163,6 +161,22 @@ std::optional<Match> Match::decode(std::span<const std::uint8_t> in) {
   m.tp_src = get_be16(in, 36);
   m.tp_dst = get_be16(in, 38);
   return m;
+}
+
+std::size_t MatchHash::operator()(const of::Match& m) const {
+  const auto mac48 = [](const net::MacAddress& mac) {
+    std::uint64_t v = 0;
+    for (const std::uint8_t octet : mac.octets()) v = (v << 8) | octet;
+    return v;
+  };
+  std::uint64_t h = util::mix64(m.wildcards | std::uint64_t{m.in_port} << 32 |
+                                std::uint64_t{m.dl_vlan} << 48);
+  h = util::mix64(h ^ mac48(m.dl_src) ^ std::uint64_t{m.dl_type} << 48);
+  h = util::mix64(h ^ mac48(m.dl_dst) ^ std::uint64_t{m.dl_vlan_pcp} << 48 ^
+                  std::uint64_t{m.nw_tos} << 56);
+  h = util::mix64(h ^ m.nw_src.value() ^ std::uint64_t{m.nw_dst.value()} << 32);
+  return static_cast<std::size_t>(util::mix64(h ^ m.tp_src ^ std::uint64_t{m.tp_dst} << 16 ^
+                                              std::uint64_t{m.nw_proto} << 32));
 }
 
 std::string Match::to_string() const {

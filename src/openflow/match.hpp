@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "util/byte_order.hpp"
 
 namespace sdnbuf::of {
 
@@ -66,10 +67,15 @@ struct Match {
   void set_nw_src_ignored_bits(int bits);
   void set_nw_dst_ignored_bits(int bits);
 
-  void encode(std::vector<std::uint8_t>& out) const;
+  void encode(util::ByteCursor& out) const;
   [[nodiscard]] static std::optional<Match> decode(std::span<const std::uint8_t> in);
 
   [[nodiscard]] std::string to_string() const;
+};
+
+// Hash over every field of a match (flow-table and controller rule indexes).
+struct MatchHash {
+  std::size_t operator()(const Match& m) const;
 };
 
 }  // namespace sdnbuf::of

@@ -10,10 +10,6 @@ namespace sdnbuf::of {
 using util::get_be16;
 using util::get_be32;
 using util::get_be64;
-using util::put_be16;
-using util::put_be32;
-using util::put_be64;
-using util::put_pad;
 
 const char* msg_type_name(MsgType t) {
   switch (t) {
@@ -122,29 +118,20 @@ std::size_t encoded_size(const OfMessage& msg) {
 
 namespace {
 
-void put_header(std::vector<std::uint8_t>& out, MsgType type, std::size_t total_len,
-                std::uint32_t xid) {
-  SDNBUF_CHECK_MSG(total_len <= 0xffff, "OpenFlow message too long for 16-bit length");
-  out.push_back(kVersion);
-  out.push_back(static_cast<std::uint8_t>(type));
-  put_be16(out, static_cast<std::uint16_t>(total_len));
-  put_be32(out, xid);
-}
-
-void encode_port(std::vector<std::uint8_t>& out, const PortDesc& p) {
-  put_be16(out, p.port_no);
-  out.insert(out.end(), p.hw_addr.octets().begin(), p.hw_addr.octets().end());
+void encode_port(util::ByteCursor& out, const PortDesc& p) {
+  out.be16(p.port_no);
+  out.bytes(p.hw_addr.octets());
   char name[16] = {};
   std::copy_n(p.name.data(), std::min<std::size_t>(p.name.size(), 15), name);
-  out.insert(out.end(), name, name + 16);
+  out.bytes(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(name), 16));
   // config, advertised, supported are not modelled; store the current speed
   // in the "curr" word, the link-down bit in "state", and zero the rest.
-  put_be32(out, 0);
-  put_be32(out, p.link_down ? kPortStateLinkDown : 0);
-  put_be32(out, p.curr_speed_mbps);
-  put_be32(out, 0);
-  put_be32(out, 0);
-  put_be32(out, 0);
+  out.be32(0);
+  out.be32(p.link_down ? kPortStateLinkDown : 0);
+  out.be32(p.curr_speed_mbps);
+  out.be32(0);
+  out.be32(0);
+  out.be32(0);
 }
 
 std::optional<PortDesc> decode_port(std::span<const std::uint8_t> in) {
@@ -162,165 +149,171 @@ std::optional<PortDesc> decode_port(std::span<const std::uint8_t> in) {
   return p;
 }
 
+// Writes one message body (everything after the ofp_header).
+struct BodyEncoder {
+  util::ByteCursor& out;
+
+  void operator()(const Hello&) const {}
+  void operator()(const Error& m) const {
+    out.be16(static_cast<std::uint16_t>(m.type));
+    out.be16(static_cast<std::uint16_t>(m.code));
+    out.bytes(m.data);
+  }
+  void operator()(const EchoRequest&) const {}
+  void operator()(const EchoReply&) const {}
+  void operator()(const FeaturesRequest&) const {}
+  void operator()(const FeaturesReply& m) const {
+    out.be64(m.datapath_id);
+    out.be32(m.n_buffers);
+    out.u8(m.n_tables);
+    out.pad(3);
+    out.be32(0);  // capabilities
+    out.be32(0);  // actions bitmap
+    for (const auto& p : m.ports) encode_port(out, p);
+  }
+  void operator()(const PacketIn& m) const {
+    out.be32(m.buffer_id);
+    out.be16(m.total_len);
+    out.be16(m.in_port);
+    out.u8(static_cast<std::uint8_t>(m.reason));
+    out.pad(1);
+    out.bytes(m.data);
+  }
+  void operator()(const PacketOut& m) const {
+    out.be32(m.buffer_id);
+    out.be16(m.in_port);
+    out.be16(static_cast<std::uint16_t>(encoded_size(m.actions)));
+    encode_actions(m.actions, out);
+    out.bytes(m.data);
+  }
+  void operator()(const FlowMod& m) const {
+    m.match.encode(out);
+    out.be64(m.cookie);
+    out.be16(static_cast<std::uint16_t>(m.command));
+    out.be16(m.idle_timeout_s);
+    out.be16(m.hard_timeout_s);
+    out.be16(m.priority);
+    out.be32(m.buffer_id);
+    out.be16(m.out_port);
+    out.be16(m.flags);
+    encode_actions(m.actions, out);
+  }
+  void operator()(const FlowRemoved& m) const {
+    m.match.encode(out);
+    out.be64(m.cookie);
+    out.be16(m.priority);
+    out.u8(static_cast<std::uint8_t>(m.reason));
+    out.pad(1);
+    out.be32(m.duration_sec);
+    out.be32(m.duration_nsec);
+    out.be16(m.idle_timeout_s);
+    out.pad(2);
+    out.be64(m.packet_count);
+    out.be64(m.byte_count);
+  }
+  void operator()(const PortStatus& m) const {
+    out.u8(static_cast<std::uint8_t>(m.reason));
+    out.pad(7);
+    encode_port(out, m.desc);
+  }
+  void operator()(const FlowStatsRequest& m) const {
+    stats_header(StatsType::Flow);
+    match_request(m.match, m.out_port);
+  }
+  void operator()(const FlowStatsReply& m) const {
+    stats_header(StatsType::Flow);
+    for (const auto& f : m.flows) {
+      out.be16(static_cast<std::uint16_t>(kFlowStatsEntrySize));
+      out.u8(0);  // table_id
+      out.pad(1);
+      f.match.encode(out);
+      out.be32(f.duration_sec);
+      out.be32(f.duration_nsec);
+      out.be16(f.priority);
+      out.be16(f.idle_timeout_s);
+      out.be16(f.hard_timeout_s);
+      out.pad(6);
+      out.be64(f.cookie);
+      out.be64(f.packet_count);
+      out.be64(f.byte_count);
+    }
+  }
+  void operator()(const AggregateStatsRequest& m) const {
+    stats_header(StatsType::Aggregate);
+    match_request(m.match, m.out_port);
+  }
+  void operator()(const AggregateStatsReply& m) const {
+    stats_header(StatsType::Aggregate);
+    out.be64(m.packet_count);
+    out.be64(m.byte_count);
+    out.be32(m.flow_count);
+    out.pad(4);
+  }
+  void operator()(const PortStatsRequest& m) const {
+    stats_header(StatsType::Port);
+    out.be16(m.port_no);
+    out.pad(6);
+  }
+  void operator()(const PortStatsReply& m) const {
+    stats_header(StatsType::Port);
+    for (const auto& p : m.ports) {
+      out.be16(p.port_no);
+      out.pad(6);
+      out.be64(p.rx_packets);
+      out.be64(p.tx_packets);
+      out.be64(p.rx_bytes);
+      out.be64(p.tx_bytes);
+      out.be64(p.rx_dropped);
+      out.be64(p.tx_dropped);
+      out.pad(48);  // rx/tx errors, frame/over/crc errors, collisions
+    }
+  }
+  void operator()(const BarrierRequest&) const {}
+  void operator()(const BarrierReply&) const {}
+  void operator()(const FlowSample& m) const {
+    out.be32(kSdnbufVendorId);
+    out.be16(kFlowSampleSubtype);
+    out.pad(2);
+    out.be32(m.sample_seq);
+    out.be32(m.src_ip);
+    out.be32(m.dst_ip);
+    out.be16(m.src_port);
+    out.be16(m.dst_port);
+    out.be16(m.in_port);
+    out.be16(m.frame_bytes);
+    out.u8(m.protocol);
+    out.pad(3);
+  }
+
+  // ofp_stats_request/reply: type, then zero flags.
+  void stats_header(StatsType type) const {
+    out.be16(static_cast<std::uint16_t>(type));
+    out.be16(0);
+  }
+  // Flow/aggregate stats request body: match, table_id (all tables), pad,
+  // out_port.
+  void match_request(const Match& match, std::uint16_t out_port) const {
+    match.encode(out);
+    out.u8(0xff);
+    out.pad(1);
+    out.be16(out_port);
+  }
+};
+
 }  // namespace
 
 void encode_message_into(const OfMessage& msg, std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(encoded_size(msg));
-  const MsgType type = message_type(msg);
-  const std::uint32_t xid = message_xid(msg);
   const std::size_t total = encoded_size(msg);
-
-  struct Visitor {
-    std::vector<std::uint8_t>& out;
-    void operator()(const Hello&) const {}
-    void operator()(const Error& m) const {
-      put_be16(out, static_cast<std::uint16_t>(m.type));
-      put_be16(out, static_cast<std::uint16_t>(m.code));
-      out.insert(out.end(), m.data.begin(), m.data.end());
-    }
-    void operator()(const EchoRequest&) const {}
-    void operator()(const EchoReply&) const {}
-    void operator()(const FeaturesRequest&) const {}
-    void operator()(const FeaturesReply& m) const {
-      put_be64(out, m.datapath_id);
-      put_be32(out, m.n_buffers);
-      out.push_back(m.n_tables);
-      put_pad(out, 3);
-      put_be32(out, 0);  // capabilities
-      put_be32(out, 0);  // actions bitmap
-      for (const auto& p : m.ports) encode_port(out, p);
-    }
-    void operator()(const PacketIn& m) const {
-      put_be32(out, m.buffer_id);
-      put_be16(out, m.total_len);
-      put_be16(out, m.in_port);
-      out.push_back(static_cast<std::uint8_t>(m.reason));
-      put_pad(out, 1);
-      out.insert(out.end(), m.data.begin(), m.data.end());
-    }
-    void operator()(const PacketOut& m) const {
-      put_be32(out, m.buffer_id);
-      put_be16(out, m.in_port);
-      put_be16(out, static_cast<std::uint16_t>(encoded_size(m.actions)));
-      encode_actions(m.actions, out);
-      out.insert(out.end(), m.data.begin(), m.data.end());
-    }
-    void operator()(const FlowMod& m) const {
-      m.match.encode(out);
-      put_be64(out, m.cookie);
-      put_be16(out, static_cast<std::uint16_t>(m.command));
-      put_be16(out, m.idle_timeout_s);
-      put_be16(out, m.hard_timeout_s);
-      put_be16(out, m.priority);
-      put_be32(out, m.buffer_id);
-      put_be16(out, m.out_port);
-      put_be16(out, m.flags);
-      encode_actions(m.actions, out);
-    }
-    void operator()(const FlowRemoved& m) const {
-      m.match.encode(out);
-      put_be64(out, m.cookie);
-      put_be16(out, m.priority);
-      out.push_back(static_cast<std::uint8_t>(m.reason));
-      put_pad(out, 1);
-      put_be32(out, m.duration_sec);
-      put_be32(out, m.duration_nsec);
-      put_be16(out, m.idle_timeout_s);
-      put_pad(out, 2);
-      put_be64(out, m.packet_count);
-      put_be64(out, m.byte_count);
-    }
-    void operator()(const PortStatus& m) const {
-      out.push_back(static_cast<std::uint8_t>(m.reason));
-      put_pad(out, 7);
-      encode_port(out, m.desc);
-    }
-    void operator()(const FlowStatsRequest& m) const {
-      put_be16(out, static_cast<std::uint16_t>(StatsType::Flow));
-      put_be16(out, 0);  // flags
-      m.match.encode(out);
-      out.push_back(0xff);  // table_id: all tables
-      put_pad(out, 1);
-      put_be16(out, m.out_port);
-    }
-    void operator()(const FlowStatsReply& m) const {
-      put_be16(out, static_cast<std::uint16_t>(StatsType::Flow));
-      put_be16(out, 0);
-      for (const auto& f : m.flows) {
-        put_be16(out, static_cast<std::uint16_t>(kFlowStatsEntrySize));
-        out.push_back(0);  // table_id
-        put_pad(out, 1);
-        f.match.encode(out);
-        put_be32(out, f.duration_sec);
-        put_be32(out, f.duration_nsec);
-        put_be16(out, f.priority);
-        put_be16(out, f.idle_timeout_s);
-        put_be16(out, f.hard_timeout_s);
-        put_pad(out, 6);
-        put_be64(out, f.cookie);
-        put_be64(out, f.packet_count);
-        put_be64(out, f.byte_count);
-      }
-    }
-    void operator()(const AggregateStatsRequest& m) const {
-      put_be16(out, static_cast<std::uint16_t>(StatsType::Aggregate));
-      put_be16(out, 0);
-      m.match.encode(out);
-      out.push_back(0xff);
-      put_pad(out, 1);
-      put_be16(out, m.out_port);
-    }
-    void operator()(const AggregateStatsReply& m) const {
-      put_be16(out, static_cast<std::uint16_t>(StatsType::Aggregate));
-      put_be16(out, 0);
-      put_be64(out, m.packet_count);
-      put_be64(out, m.byte_count);
-      put_be32(out, m.flow_count);
-      put_pad(out, 4);
-    }
-    void operator()(const PortStatsRequest& m) const {
-      put_be16(out, static_cast<std::uint16_t>(StatsType::Port));
-      put_be16(out, 0);
-      put_be16(out, m.port_no);
-      put_pad(out, 6);
-    }
-    void operator()(const PortStatsReply& m) const {
-      put_be16(out, static_cast<std::uint16_t>(StatsType::Port));
-      put_be16(out, 0);
-      for (const auto& p : m.ports) {
-        put_be16(out, p.port_no);
-        put_pad(out, 6);
-        put_be64(out, p.rx_packets);
-        put_be64(out, p.tx_packets);
-        put_be64(out, p.rx_bytes);
-        put_be64(out, p.tx_bytes);
-        put_be64(out, p.rx_dropped);
-        put_be64(out, p.tx_dropped);
-        put_pad(out, 48);  // rx/tx errors, frame/over/crc errors, collisions
-      }
-    }
-    void operator()(const BarrierRequest&) const {}
-    void operator()(const BarrierReply&) const {}
-    void operator()(const FlowSample& m) const {
-      put_be32(out, kSdnbufVendorId);
-      put_be16(out, kFlowSampleSubtype);
-      put_pad(out, 2);
-      put_be32(out, m.sample_seq);
-      put_be32(out, m.src_ip);
-      put_be32(out, m.dst_ip);
-      put_be16(out, m.src_port);
-      put_be16(out, m.dst_port);
-      put_be16(out, m.in_port);
-      put_be16(out, m.frame_bytes);
-      out.push_back(m.protocol);
-      put_pad(out, 3);
-    }
-  };
-
-  put_header(out, type, total, xid);
-  std::visit(Visitor{out}, msg);
-  SDNBUF_CHECK_MSG(out.size() == total, "encoded size mismatch");
+  SDNBUF_CHECK_MSG(total <= 0xffff, "OpenFlow message too long for 16-bit length");
+  out.clear();
+  out.resize(total);
+  util::ByteCursor cursor(out.data());
+  cursor.u8(kVersion);
+  cursor.u8(static_cast<std::uint8_t>(message_type(msg)));
+  cursor.be16(static_cast<std::uint16_t>(total));
+  cursor.be32(message_xid(msg));
+  std::visit(BodyEncoder{cursor}, msg);
+  SDNBUF_CHECK_MSG(cursor.pos() == out.data() + total, "encoded size mismatch");
 }
 
 std::vector<std::uint8_t> encode_message(const OfMessage& msg) {

@@ -11,9 +11,9 @@ CpuServer::CpuServer(Simulator& sim, std::string name, unsigned cores)
   SDNBUF_CHECK_MSG(cores_ >= 1, "a server needs at least one core");
 }
 
-void CpuServer::submit(SimTime service, std::function<void()> on_done) {
+void CpuServer::submit(SimTime service, Job on_done) {
   SDNBUF_CHECK_MSG(service >= SimTime::zero(), "negative service time");
-  Job job{service, sim_.now(), std::move(on_done)};
+  Queued job{service, sim_.now(), std::move(on_done)};
   if (busy_ < cores_) {
     start(std::move(job));
   } else {
@@ -21,30 +21,36 @@ void CpuServer::submit(SimTime service, std::function<void()> on_done) {
   }
 }
 
-void CpuServer::start(Job job) {
+void CpuServer::start(Queued job) {
   ++busy_;
   ++jobs_started_;
   wait_ms_.add((sim_.now() - job.enqueued_at).ms());
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(running_.size()));
+    running_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  running_[slot] = std::move(job.on_done);
   const SimTime service = job.service;
-  auto on_done = std::move(job.on_done);
-  sim_.schedule(service, [this, service, on_done = std::move(on_done)]() mutable {
+  sim_.schedule(service, [this, service, slot]() {
     ScopedProfileTag tag{name_.c_str()};
-    on_complete(service, std::move(on_done));
+    on_complete(service, slot);
   });
 }
 
-void CpuServer::on_complete(SimTime service, std::function<void()> on_done) {
+void CpuServer::on_complete(SimTime service, std::uint32_t slot) {
   SDNBUF_CHECK(busy_ > 0);
   --busy_;
   ++jobs_completed_;
   busy_time_ += service;
+  // Take the callback out first: it may submit jobs that reuse the slot or
+  // grow the slot array.
+  Job on_done = std::move(running_[slot]);
+  free_slots_.push_back(slot);
   // Free core: pull the next queued job before running the completion
   // callback, so callback-triggered submissions queue fairly behind it.
-  if (!queue_.empty()) {
-    Job next = std::move(queue_.front());
-    queue_.pop_front();
-    start(std::move(next));
-  }
+  if (!queue_.empty()) start(queue_.pop_front());
   if (on_done) on_done();
 }
 

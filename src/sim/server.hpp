@@ -5,21 +5,28 @@
 // ASIC<->CPU bus of the switch and similar serial resources. Jobs carry a
 // pre-computed service time; the station provides queueing, busy-time
 // accounting (for CPU-utilization metrics) and waiting-time statistics.
+// Jobs are move-only and own their captures (a packet or an OpenFlow message
+// rides in its job); the completion event carries only a slot index.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
+#include "util/ring.hpp"
+#include "util/small_function.hpp"
 #include "util/stats.hpp"
 
 namespace sdnbuf::sim {
 
 class CpuServer {
  public:
+  // Completion callback. The inline buffer holds the largest closure on the
+  // miss path (a flow_mod plus its packet_out), so submitting allocates nothing.
+  using Job = util::SmallFunction<void(), 200>;
+
   // `cores` >= 1. `name` is used only for diagnostics.
   CpuServer(Simulator& sim, std::string name, unsigned cores);
 
@@ -27,7 +34,7 @@ class CpuServer {
   CpuServer& operator=(const CpuServer&) = delete;
 
   // Enqueues a job. `on_done` runs when service completes (may be empty).
-  void submit(SimTime service, std::function<void()> on_done);
+  void submit(SimTime service, Job on_done);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] unsigned cores() const { return cores_; }
@@ -53,20 +60,23 @@ class CpuServer {
   void reset_stats();
 
  private:
-  struct Job {
+  struct Queued {
     SimTime service;
     SimTime enqueued_at;
-    std::function<void()> on_done;
+    Job on_done;
   };
 
-  void start(Job job);
-  void on_complete(SimTime service, std::function<void()> on_done);
+  void start(Queued job);
+  void on_complete(SimTime service, std::uint32_t slot);
 
   Simulator& sim_;
   std::string name_;
   unsigned cores_;
   unsigned busy_ = 0;
-  std::deque<Job> queue_;
+  util::Ring<Queued> queue_;
+  // Callbacks of the jobs in service, by slot; free slots are recycled.
+  std::vector<Job> running_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime busy_time_;
   std::uint64_t jobs_started_ = 0;
   std::uint64_t jobs_completed_ = 0;

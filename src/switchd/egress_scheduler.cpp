@@ -50,7 +50,7 @@ std::uint64_t EgressScheduler::mmu_threshold_for(const net::Packet& packet) cons
   return mmu_->threshold(mmu_queues_[classify(packet)]);
 }
 
-bool EgressScheduler::enqueue(const net::Packet& packet) {
+bool EgressScheduler::enqueue(net::Packet&& packet) {
   const unsigned service_class = classify(packet);
   ClassQueue& queue = queues_[service_class];
   if (mmu_ != nullptr) {
@@ -65,8 +65,8 @@ bool EgressScheduler::enqueue(const net::Packet& packet) {
     ++queue.stats.dropped;
     return false;
   }
-  queue.packets.push_back(Queued{packet, sim_.now()});
   queue.backlog_bytes += packet.frame_size;
+  queue.packets.push_back(Queued{std::move(packet), sim_.now()});
   ++queue.stats.enqueued;
   // Pure counters (no sim-state reads, no scheduling), so maintaining them
   // unconditionally cannot perturb the event sequence.
@@ -137,22 +137,22 @@ void EgressScheduler::maybe_start() {
 void EgressScheduler::transmit(unsigned service_class) {
   ClassQueue& queue = queues_[service_class];
   SDNBUF_CHECK(!queue.packets.empty());
-  Queued item = std::move(queue.packets.front());
-  queue.packets.pop_front();
-  queue.backlog_bytes -= item.packet.frame_size;
+  Queued item = queue.packets.pop_front();
+  const std::uint32_t frame_size = item.packet.frame_size;
+  queue.backlog_bytes -= frame_size;
   ++queue.stats.dequeued;
-  queue.stats.bytes_sent += item.packet.frame_size;
+  queue.stats.bytes_sent += frame_size;
   const sim::SimTime waited = sim_.now() - item.enqueued_at;
   queue.stats.queue_delay_ms.add(waited.ms());
   if (mmu_ != nullptr) {
     // The frame leaves switch memory at dequeue regardless of its fate on
     // the link (a link-fault drop happens after the buffer is freed), and
     // the measured wait is the delay-driven policy's steering signal.
-    mmu_->release(mmu_queues_[service_class], item.packet.frame_size, item.packet.frame_size);
+    mmu_->release(mmu_queues_[service_class], frame_size, frame_size);
     mmu_->record_queue_delay(mmu_queues_[service_class], waited);
   }
   if (config_.policy == SchedulerPolicy::DeficitRoundRobin) {
-    queue.deficit -= item.packet.frame_size;
+    queue.deficit -= frame_size;
   }
 
   busy_ = true;
@@ -162,18 +162,17 @@ void EgressScheduler::transmit(unsigned service_class) {
     // in-flight FIFO, so it fits EventFn's inline buffer — no allocation
     // per hop. The packet is pushed only on Sent (dropped frames schedule
     // no delivery), keeping the ring in lockstep with the wire.
-    sent = link_.send_frame(item.packet.frame_size, [this]() {
-      net::Packet packet = std::move(inflight_.front());
-      inflight_.pop_front();
-      if (deliver_) deliver_(packet);
+    sent = link_.send_frame(frame_size, [this]() {
+      net::Packet packet = inflight_.pop_front();
+      if (deliver_) deliver_(std::move(packet));
     });
-    if (sent == net::Link::SendResult::Sent) inflight_.push_back(item.packet);
+    if (sent == net::Link::SendResult::Sent) inflight_.push_back(std::move(item.packet));
   } else {
     // Shard-crossing port: the callback runs on the receiver's shard, which
     // must not touch this scheduler's queues — carry the packet by value
     // (one allocation per crossing; crossings are the fabric minority).
-    sent = link_.send_frame(item.packet.frame_size, [this, packet = item.packet]() {
-      if (deliver_) deliver_(packet);
+    sent = link_.send_frame(frame_size, [this, packet = item.packet]() mutable {
+      if (deliver_) deliver_(std::move(packet));
     });
   }
   if (sent != net::Link::SendResult::Sent) {
@@ -185,7 +184,7 @@ void EgressScheduler::transmit(unsigned service_class) {
   }
   // The transmitter frees after the serialization time; queueing beyond that
   // happens here per class, not invisibly inside the link.
-  const sim::SimTime tx = sim::transmission_time(item.packet.frame_size, link_.bandwidth_bps());
+  const sim::SimTime tx = sim::transmission_time(frame_size, link_.bandwidth_bps());
   sim_.schedule(tx, [this]() {
     sim::ScopedProfileTag tag{"egress_scheduler"};
     busy_ = false;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -28,6 +27,7 @@
 #include "obs/instruments.hpp"
 #include "sim/simulator.hpp"
 #include "switchd/mmu/mmu.hpp"
+#include "util/ring.hpp"
 #include "util/stats.hpp"
 
 namespace sdnbuf::sw {
@@ -50,7 +50,7 @@ struct EgressSchedulerConfig {
 
 class EgressScheduler {
  public:
-  using DeliverFn = std::function<void(const net::Packet&)>;
+  using DeliverFn = std::function<void(net::Packet&&)>;
 
   // `link` is the port's egress link; `deliver` fires at the far end.
   EgressScheduler(sim::Simulator& sim, EgressSchedulerConfig config, net::Link& link,
@@ -61,8 +61,10 @@ class EgressScheduler {
 
   // Queues a packet for transmission; false (and a drop) if the class queue
   // is full — per the flat per-class byte limit, or, with an MMU attached,
-  // per the shared-pool admission policy.
-  bool enqueue(const net::Packet& packet);
+  // per the shared-pool admission policy. The rvalue form takes the packet
+  // only when it is admitted: a refused packet stays with the caller.
+  bool enqueue(net::Packet&& packet);
+  bool enqueue(const net::Packet& packet) { return enqueue(net::Packet(packet)); }
 
   // Joins the switch's shared-memory MMU (DESIGN.md §16): registers one
   // accounted queue per service class and routes every admission decision
@@ -118,7 +120,7 @@ class EgressScheduler {
     sim::SimTime enqueued_at;
   };
   struct ClassQueue {
-    std::deque<Queued> packets;
+    util::Ring<Queued> packets;
     std::uint64_t backlog_bytes = 0;
     std::int64_t deficit = 0;  // DRR credit
     ClassStats stats;
@@ -146,7 +148,7 @@ class EgressScheduler {
   // steady-state forwarding path performs no heap allocation. Only valid
   // for same-shard links; shard-crossing deliveries run on the receiver's
   // shard and capture the packet by value instead of touching this state.
-  std::deque<net::Packet> inflight_;
+  util::Ring<net::Packet> inflight_;
   std::vector<ClassQueue> queues_;
   unsigned drr_cursor_ = 0;
   // Whether the queue under the cursor already received its quantum during

@@ -29,22 +29,6 @@ FlowTable::FlowTable(std::size_t capacity, EvictionPolicy policy, std::uint64_t 
   SDNBUF_CHECK_MSG(capacity_ >= 1, "flow table needs capacity");
 }
 
-std::size_t FlowTable::MatchHash::operator()(const of::Match& m) const {
-  const auto mac48 = [](const net::MacAddress& mac) {
-    std::uint64_t v = 0;
-    for (const std::uint8_t octet : mac.octets()) v = (v << 8) | octet;
-    return v;
-  };
-  std::uint64_t h = util::mix64(m.wildcards | std::uint64_t{m.in_port} << 32 |
-                                std::uint64_t{m.dl_vlan} << 48);
-  h = util::mix64(h ^ mac48(m.dl_src) ^ std::uint64_t{m.dl_type} << 48);
-  h = util::mix64(h ^ mac48(m.dl_dst) ^ std::uint64_t{m.dl_vlan_pcp} << 48 ^
-                  std::uint64_t{m.nw_tos} << 56);
-  h = util::mix64(h ^ m.nw_src.value() ^ std::uint64_t{m.nw_dst.value()} << 32);
-  return static_cast<std::size_t>(util::mix64(h ^ m.tp_src ^ std::uint64_t{m.tp_dst} << 16 ^
-                                              std::uint64_t{m.nw_proto} << 32));
-}
-
 FlowTable::Node* FlowTable::best_match(const net::Packet& p, std::uint16_t in_port) const {
   // Exact-match fast path: the key is the packet's own exact match, and the
   // slot's first rule has the highest priority among those sharing it.

@@ -118,10 +118,6 @@ class FlowTable {
   using NodeList = std::list<Node>;
   using NodeIt = NodeList::iterator;
 
-  struct MatchHash {
-    std::size_t operator()(const of::Match& m) const;
-  };
-
   [[nodiscard]] static bool is_exact(const of::Match& m) { return m.wildcards == 0; }
 
   [[nodiscard]] Node* best_match(const net::Packet& p, std::uint16_t in_port) const;
@@ -141,7 +137,7 @@ class FlowTable {
   EvictionPolicy policy_;
   util::Rng rng_;
   NodeList entries_;  // install order
-  std::unordered_map<of::Match, Node*, MatchHash> exact_index_;
+  std::unordered_map<of::Match, Node*, of::MatchHash> exact_index_;
   // Scanned in order, so on a priority tie the first match wins. A replace
   // moves the rule to the back.
   std::vector<Node*> wildcard_entries_;

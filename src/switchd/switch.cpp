@@ -101,7 +101,7 @@ void Switch::set_buffer_instruments(const obs::BufferInstruments& instruments) {
 void Switch::connect(of::Channel& channel) {
   channel_ = &channel;
   channel.set_switch_handler(
-      [this](const of::OfMessage& msg, std::size_t) { on_control_message(msg); });
+      [this](of::OfMessage& msg, std::size_t) { on_control_message(msg); });
 }
 
 void Switch::start() {
@@ -161,35 +161,38 @@ void Switch::receive(std::uint16_t in_port, net::Packet packet) {
   if (config_.telemetry_sample_period != 0) maybe_sample(in_port, packet);
 
   // ASIC match stage: a fixed-latency hardware pipeline — deterministic, so
-  // simultaneously arriving packets keep their arrival order.
-  sim_.schedule(sim::SimTime::from_microseconds(config_.costs.asic_match_us),
-                [this, in_port, packet]() {
+  // simultaneously arriving packets keep their arrival order. Every packet
+  // spends the same latency in it, so stage completions happen in arrival
+  // order: the packet waits in the stage's FIFO and the event pops the head.
+  asic_stage_.push_back(AsicSlot{std::move(packet), in_port});
+  sim_.schedule(sim::SimTime::from_microseconds(config_.costs.asic_match_us), [this]() {
     sim::ScopedProfileTag tag{config_.name.c_str()};
-    FlowEntry* entry = table_.lookup(packet, in_port, sim_.now());
+    AsicSlot slot = asic_stage_.pop_front();
+    FlowEntry* entry = table_.lookup(slot.packet, slot.in_port, sim_.now());
     if (entry != nullptr) {
       ++counters_.table_hits;
-      execute_actions(packet, entry->actions, in_port);
+      execute_actions(std::move(slot.packet), entry->actions, slot.in_port);
     } else {
       ++counters_.table_misses;
-      handle_miss(in_port, packet);
+      handle_miss(slot.in_port, std::move(slot.packet));
     }
   });
 }
 
-void Switch::handle_miss(std::uint16_t in_port, const net::Packet& packet) {
+void Switch::handle_miss(std::uint16_t in_port, net::Packet packet) {
   if (conn_state_ != ConnectionState::Connected) {
     handle_miss_degraded(in_port, packet);
     return;
   }
   switch (config_.buffer_mode) {
     case BufferMode::NoBuffer:
-      miss_no_buffer(in_port, packet, /*buffer_exhausted=*/false);
+      miss_no_buffer(in_port, std::move(packet), /*buffer_exhausted=*/false);
       break;
     case BufferMode::PacketGranularity:
-      miss_packet_granularity(in_port, packet);
+      miss_packet_granularity(in_port, std::move(packet));
       break;
     case BufferMode::FlowGranularity:
-      miss_flow_granularity(in_port, packet);
+      miss_flow_granularity(in_port, std::move(packet));
       break;
   }
 }
@@ -207,8 +210,7 @@ void Switch::handle_miss_degraded(std::uint16_t in_port, const net::Packet& pack
   if (observer_ != nullptr) observer_->on_packet_dropped(packet, "fail-secure", sim_.now());
 }
 
-void Switch::miss_no_buffer(std::uint16_t in_port, const net::Packet& packet,
-                            bool buffer_exhausted) {
+void Switch::miss_no_buffer(std::uint16_t in_port, net::Packet packet, bool buffer_exhausted) {
   ++counters_.full_frame_pkt_ins;
   if (buffer_exhausted) {
     SDNBUF_DEBUG("switch", "buffer exhausted, full-frame packet_in for flow "
@@ -216,60 +218,58 @@ void Switch::miss_no_buffer(std::uint16_t in_port, const net::Packet& packet,
   }
   // The whole frame crosses the ASIC<->CPU bus, then the CPU builds a
   // packet_in that carries the entire frame.
-  bus_.submit(bus_time(packet.frame_size), [this, in_port, packet]() {
-    const double encode_us = config_.costs.miss_base_us + config_.costs.pkt_in_base_us +
-                             config_.costs.pkt_in_per_byte_us * packet.frame_size;
-    cpu_.submit(cost_us(encode_us), [this, in_port, packet]() {
-      send_packet_in(packet, in_port, of::kNoBuffer, packet.frame_size,
-                     of::PacketInReason::NoMatch);
+  const std::size_t data_bytes = packet.frame_size;
+  punt(in_port, std::move(packet), of::kNoBuffer, data_bytes,
+       config_.costs.miss_base_us + config_.costs.pkt_in_base_us);
+}
+
+void Switch::punt(std::uint16_t in_port, net::Packet packet, std::uint32_t buffer_id,
+                  std::size_t data_bytes, double cpu_base_us) {
+  bus_.submit(bus_time(data_bytes), [this, in_port, packet = std::move(packet), buffer_id,
+                                     data_bytes, cpu_base_us]() mutable {
+    const double encode_us =
+        cpu_base_us + config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
+    cpu_.submit(cost_us(encode_us),
+                [this, in_port, packet = std::move(packet), buffer_id, data_bytes]() {
+      send_packet_in(packet, in_port, buffer_id, data_bytes, of::PacketInReason::NoMatch);
+      if (flow_buffer_ != nullptr && buffer_id != of::kNoBuffer) {
+        // Algorithm 1: the request arms the unit's re-request timer.
+        flow_buffer_->mark_request_sent(buffer_id, sim_.now());
+        schedule_flow_resend_check(buffer_id, in_port);
+      }
     });
   });
 }
 
-void Switch::miss_packet_granularity(std::uint16_t in_port, const net::Packet& packet) {
+void Switch::miss_packet_granularity(std::uint16_t in_port, net::Packet packet) {
   SDNBUF_CHECK(packet_buffer_ != nullptr);
   const auto buffer_id = packet_buffer_->store(packet);
   if (!buffer_id) {
     // OpenFlow fallback: no free unit, send the entire frame.
-    miss_no_buffer(in_port, packet, /*buffer_exhausted=*/true);
+    miss_no_buffer(in_port, std::move(packet), /*buffer_exhausted=*/true);
     return;
   }
   const std::size_t data_bytes = std::min<std::size_t>(config_.miss_send_len, packet.frame_size);
   // Only the captured headers cross the bus.
-  bus_.submit(bus_time(data_bytes), [this, in_port, packet, id = *buffer_id, data_bytes]() {
-    const double encode_us = config_.costs.miss_base_us + config_.costs.buffer_store_us +
-                             config_.costs.pkt_in_base_us +
-                             config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
-    cpu_.submit(cost_us(encode_us), [this, in_port, packet, id, data_bytes]() {
-      send_packet_in(packet, in_port, id, data_bytes, of::PacketInReason::NoMatch);
-    });
-  });
+  punt(in_port, std::move(packet), *buffer_id, data_bytes,
+       config_.costs.miss_base_us + config_.costs.buffer_store_us + config_.costs.pkt_in_base_us);
 }
 
-void Switch::miss_flow_granularity(std::uint16_t in_port, const net::Packet& packet) {
+void Switch::miss_flow_granularity(std::uint16_t in_port, net::Packet packet) {
   SDNBUF_CHECK(flow_buffer_ != nullptr);
   const auto stored = flow_buffer_->store(packet, in_port);
   if (!stored) {
-    miss_no_buffer(in_port, packet, /*buffer_exhausted=*/true);
+    miss_no_buffer(in_port, std::move(packet), /*buffer_exhausted=*/true);
     return;
   }
   if (stored->first_of_flow) {
     // Algorithm 1, lines 7-9: buffer, create the shared buffer_id, request.
     const std::size_t data_bytes =
         std::min<std::size_t>(config_.miss_send_len, packet.frame_size);
-    bus_.submit(bus_time(data_bytes),
-                [this, in_port, packet, id = stored->buffer_id, data_bytes]() {
-      const double encode_us = config_.costs.miss_base_us + config_.costs.flow_map_lookup_us +
-                               config_.costs.flow_map_store_us +
-                               config_.costs.flow_first_packet_extra_us +
-                               config_.costs.buffer_store_us + config_.costs.pkt_in_base_us +
-                               config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
-      cpu_.submit(cost_us(encode_us), [this, in_port, packet, id, data_bytes]() {
-        send_packet_in(packet, in_port, id, data_bytes, of::PacketInReason::NoMatch);
-        flow_buffer_->mark_request_sent(id, sim_.now());
-        schedule_flow_resend_check(id, in_port);
-      });
-    });
+    punt(in_port, std::move(packet), stored->buffer_id, data_bytes,
+         config_.costs.miss_base_us + config_.costs.flow_map_lookup_us +
+             config_.costs.flow_map_store_us + config_.costs.flow_first_packet_extra_us +
+             config_.costs.buffer_store_us + config_.costs.pkt_in_base_us);
   } else {
     // Algorithm 1, lines 10-11: buffer silently; only the map lookup and the
     // store cost the CPU, nothing is sent.
@@ -317,17 +317,20 @@ void Switch::schedule_flow_resend_check(std::uint32_t buffer_id, std::uint16_t i
     // Algorithm 1, lines 12-13: the controller went silent; ask again.
     ++counters_.resend_pkt_ins;
     flow_buffer_->record_resend(buffer_id);
-    const std::size_t data_bytes = std::min<std::size_t>(config_.miss_send_len, front->frame_size);
-    const net::Packet packet = *front;
-    const double encode_us = config_.costs.pkt_in_base_us +
-                             config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
-    cpu_.submit(cost_us(encode_us), [this, in_port, packet, buffer_id, data_bytes]() {
-      if (flow_buffer_->front_packet(buffer_id) == nullptr) return;
-      if (conn_state_ != ConnectionState::Connected) return;
-      send_packet_in(packet, in_port, buffer_id, data_bytes, of::PacketInReason::FlowResend);
-      flow_buffer_->mark_request_sent(buffer_id, sim_.now());
-      schedule_flow_resend_check(buffer_id, in_port);
-    });
+    rerequest(buffer_id, in_port, *front);
+  });
+}
+
+void Switch::rerequest(std::uint32_t buffer_id, std::uint16_t in_port, const net::Packet& front) {
+  const std::size_t data_bytes = std::min<std::size_t>(config_.miss_send_len, front.frame_size);
+  const double encode_us = config_.costs.pkt_in_base_us +
+                           config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
+  cpu_.submit(cost_us(encode_us), [this, in_port, packet = front, buffer_id, data_bytes]() {
+    if (flow_buffer_->front_packet(buffer_id) == nullptr) return;
+    if (conn_state_ != ConnectionState::Connected) return;
+    send_packet_in(packet, in_port, buffer_id, data_bytes, of::PacketInReason::FlowResend);
+    flow_buffer_->mark_request_sent(buffer_id, sim_.now());
+    schedule_flow_resend_check(buffer_id, in_port);
   });
 }
 
@@ -396,20 +399,7 @@ void Switch::complete_reconnect() {
       if (front == nullptr) continue;
       flow_buffer_->reset_request_state(id);
       ++counters_.reconcile_rerequests;
-      const std::uint16_t in_port = flow_buffer_->in_port_of(id);
-      const std::size_t data_bytes =
-          std::min<std::size_t>(config_.miss_send_len, front->frame_size);
-      const net::Packet packet = *front;
-      const double encode_us =
-          config_.costs.pkt_in_base_us +
-          config_.costs.pkt_in_per_byte_us * static_cast<double>(data_bytes);
-      cpu_.submit(cost_us(encode_us), [this, in_port, packet, id, data_bytes]() {
-        if (flow_buffer_->front_packet(id) == nullptr) return;
-        if (conn_state_ != ConnectionState::Connected) return;
-        send_packet_in(packet, in_port, id, data_bytes, of::PacketInReason::FlowResend);
-        flow_buffer_->mark_request_sent(id, sim_.now());
-        schedule_flow_resend_check(id, in_port);
-      });
+      rerequest(id, flow_buffer_->in_port_of(id), *front);
     }
   }
   if (packet_buffer_ != nullptr) {
@@ -442,7 +432,7 @@ void Switch::send_packet_in(const net::Packet& packet, std::uint16_t in_port,
                      packet.hop_arrived_at};
   ++counters_.pkt_ins_sent;
   if (observer_ != nullptr) observer_->on_packet_in_sent(msg.xid, packet, buffer_id, sim_.now());
-  channel_->send_from_switch(msg);
+  channel_->send_from_switch(std::move(msg));
   if (recorder_ != nullptr) recorder_->on_packet_in_sent(packet.flow_id, sim_.now());
 }
 
@@ -456,18 +446,18 @@ const Switch::PendingRequest* Switch::pending_for_xid(std::uint32_t xid) const {
   return it == pending_requests_.end() ? nullptr : &it->second;
 }
 
-void Switch::on_control_message(const of::OfMessage& msg) {
+void Switch::on_control_message(of::OfMessage& msg) {
   if (crashed_) return;  // a dead switch consumes nothing
-  if (const auto* fm = std::get_if<of::FlowMod>(&msg)) {
+  if (auto* fm = std::get_if<of::FlowMod>(&msg)) {
     if (recorder_ != nullptr) {
       recorder_->on_response_arrival(flow_id_for_xid(fm->xid), sim_.now());
     }
-    handle_flow_mod(*fm);
-  } else if (const auto* po = std::get_if<of::PacketOut>(&msg)) {
+    handle_flow_mod(std::move(*fm));
+  } else if (auto* po = std::get_if<of::PacketOut>(&msg)) {
     if (recorder_ != nullptr) {
       recorder_->on_response_arrival(flow_id_for_xid(po->xid), sim_.now());
     }
-    handle_packet_out(*po);
+    handle_packet_out(std::move(*po));
   } else if (const auto* echo = std::get_if<of::EchoRequest>(&msg)) {
     channel_->send_from_switch(of::EchoReply{echo->xid});
   } else if (const auto* reply = std::get_if<of::EchoReply>(&msg)) {
@@ -492,7 +482,7 @@ void Switch::on_control_message(const of::OfMessage& msg) {
     for (const auto& [port_no, port] : ports_) {
       reply.ports.push_back(port_desc(port_no, port));
     }
-    channel_->send_from_switch(reply);
+    channel_->send_from_switch(std::move(reply));
   } else if (const auto* fs = std::get_if<of::FlowStatsRequest>(&msg)) {
     handle_flow_stats(*fs);
   } else if (const auto* as = std::get_if<of::AggregateStatsRequest>(&msg)) {
@@ -513,9 +503,11 @@ void Switch::on_control_message(const of::OfMessage& msg) {
   }
 }
 
-void Switch::handle_flow_mod(const of::FlowMod& msg) {
+void Switch::handle_flow_mod(of::FlowMod msg) {
   ++counters_.flow_mods_handled;
-  cpu_.submit(cost_us(config_.costs.flow_mod_install_us), [this, msg]() {
+  cpu_.submit(cost_us(config_.costs.flow_mod_install_us), [this, msg = std::move(msg)]() mutable {
+    // The rule takes the actions unless a buffered packet still needs them.
+    const bool releases = msg.buffer_id != of::kNoBuffer;
     switch (msg.command) {
       case of::FlowModCommand::Add:
       case of::FlowModCommand::Modify:
@@ -523,7 +515,7 @@ void Switch::handle_flow_mod(const of::FlowMod& msg) {
         FlowEntry entry;
         entry.match = msg.match;
         entry.priority = msg.priority;
-        entry.actions = msg.actions;
+        entry.actions = releases ? msg.actions : std::move(msg.actions);
         entry.cookie = msg.cookie;
         entry.idle_timeout_s = msg.idle_timeout_s;
         entry.hard_timeout_s = msg.hard_timeout_s;
@@ -545,22 +537,22 @@ void Switch::handle_flow_mod(const of::FlowMod& msg) {
     }
     // flow_mod may also name a buffered packet to which the new actions
     // apply (the OpenFlow one-message variant of install-and-release).
-    if (msg.buffer_id != of::kNoBuffer) {
+    if (releases) {
       of::PacketOut synthetic;
       synthetic.xid = msg.xid;
       synthetic.buffer_id = msg.buffer_id;
       synthetic.in_port = msg.match.in_port;
-      synthetic.actions = msg.actions;
-      handle_packet_out(synthetic);
+      synthetic.actions = std::move(msg.actions);
+      handle_packet_out(std::move(synthetic));
     }
   });
 }
 
-void Switch::handle_packet_out(const of::PacketOut& msg) {
+void Switch::handle_packet_out(of::PacketOut msg) {
   ++counters_.pkt_outs_handled;
   const double exec_us = config_.costs.pkt_out_base_us +
                          config_.costs.pkt_out_per_byte_us * static_cast<double>(msg.data.size());
-  cpu_.submit(cost_us(exec_us), [this, msg]() {
+  cpu_.submit(cost_us(exec_us), [this, msg = std::move(msg)]() mutable {
     if (msg.buffer_id == of::kNoBuffer) {
       // The frame travels in the message; it must cross the bus to reach
       // the ASIC before egress.
@@ -578,8 +570,10 @@ void Switch::handle_packet_out(const of::PacketOut& msg) {
         parsed->tstack = pending->tstack;
         parsed->hop_arrived_at = pending->hop_arrived_at;
       }
-      bus_.submit(bus_time(msg.data.size()), [this, packet = *parsed, msg]() {
-        execute_actions(packet, msg.actions, msg.in_port);
+      bus_.submit(bus_time(msg.data.size()),
+                  [this, packet = std::move(*parsed), actions = std::move(msg.actions),
+                   in_port = msg.in_port]() mutable {
+        execute_actions(std::move(packet), actions, in_port);
       });
       return;
     }
@@ -591,9 +585,11 @@ void Switch::handle_packet_out(const of::PacketOut& msg) {
         report_unknown_buffer(msg);
         return;
       }
-      sim_.schedule(cost_us(config_.costs.buffer_release_us), [this, packet = *packet, msg]() {
+      sim_.schedule(cost_us(config_.costs.buffer_release_us),
+                    [this, packet = std::move(*packet), actions = std::move(msg.actions),
+                     in_port = msg.in_port]() mutable {
         sim::ScopedProfileTag tag{config_.name.c_str()};
-        execute_actions(packet, msg.actions, msg.in_port);
+        execute_actions(std::move(packet), actions, in_port);
       });
     } else if (config_.buffer_mode == BufferMode::FlowGranularity) {
       SDNBUF_CHECK(flow_buffer_ != nullptr);
@@ -603,13 +599,15 @@ void Switch::handle_packet_out(const of::PacketOut& msg) {
         return;
       }
       // Algorithm 2, lines 4-9: forward the buffered packets one by one,
-      // each paying its release cost.
+      // each paying its release cost. The releases share one action list.
+      const auto actions = std::make_shared<const of::ActionList>(std::move(msg.actions));
       sim::SimTime offset;
-      for (const auto& packet : packets) {
+      for (auto& packet : packets) {
         offset += cost_us(config_.costs.buffer_release_us);
-        sim_.schedule(offset, [this, packet, msg]() {
+        sim_.schedule(offset, [this, packet = std::move(packet), actions,
+                               in_port = msg.in_port]() mutable {
           sim::ScopedProfileTag tag{config_.name.c_str()};
-          execute_actions(packet, msg.actions, msg.in_port);
+          execute_actions(std::move(packet), *actions, in_port);
         });
       }
     } else {
@@ -630,39 +628,40 @@ void Switch::report_unknown_buffer(const of::PacketOut& msg) {
   auto offending = of::encode_message(msg);
   offending.resize(std::min<std::size_t>(offending.size(), 64));
   err.data = std::move(offending);
-  channel_->send_from_switch(err);
+  channel_->send_from_switch(std::move(err));
 }
 
-void Switch::execute_actions(const net::Packet& packet, const of::ActionList& actions,
+void Switch::execute_actions(net::Packet packet, const of::ActionList& actions,
                              std::uint16_t in_port) {
   if (actions.empty()) {
     ++counters_.packets_dropped;
     if (observer_ != nullptr) observer_->on_packet_dropped(packet, "no-actions", sim_.now());
     return;
   }
-  net::Packet current = packet;
-  for (const auto& action : actions) {
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    const of::Action& action = actions[i];
     if (const auto* out = std::get_if<of::OutputAction>(&action)) {
+      // The last action may hand the packet on; earlier outputs send copies.
+      const bool last = i + 1 == actions.size();
       if (out->port == of::kPortFlood || out->port == of::kPortAll) {
-        flood(current, in_port);
+        flood(packet, in_port);
       } else if (out->port == of::kPortController) {
-        send_packet_in(current, in_port, of::kNoBuffer,
-                       out->max_len != 0 ? out->max_len : current.frame_size,
+        send_packet_in(packet, in_port, of::kNoBuffer,
+                       out->max_len != 0 ? out->max_len : packet.frame_size,
                        of::PacketInReason::Action);
-      } else if (out->port == of::kPortInPort) {
-        egress(current, in_port, in_port);
       } else {
-        egress(current, out->port, in_port);
+        const std::uint16_t port = out->port == of::kPortInPort ? in_port : out->port;
+        egress(last ? std::move(packet) : net::Packet(packet), port, in_port);
       }
     } else if (const auto* src = std::get_if<of::SetDlSrcAction>(&action)) {
-      current.eth.src = src->mac;
+      packet.eth.src = src->mac;
     } else if (const auto* dst = std::get_if<of::SetDlDstAction>(&action)) {
-      current.eth.dst = dst->mac;
+      packet.eth.dst = dst->mac;
     }
   }
 }
 
-void Switch::egress(const net::Packet& packet, std::uint16_t out_port, std::uint16_t in_port) {
+void Switch::egress(net::Packet packet, std::uint16_t out_port, std::uint16_t in_port) {
   const auto it = ports_.find(out_port);
   if (it == ports_.end()) {
     ++counters_.packets_dropped;
@@ -672,13 +671,12 @@ void Switch::egress(const net::Packet& packet, std::uint16_t out_port, std::uint
   }
   Port& port = it->second;
   if (!port.up) {
-    handle_port_down_packet(port, packet, in_port);
+    handle_port_down_packet(port, std::move(packet), in_port);
     return;
   }
   if (config_.telemetry_int_depth != 0 && packet.tstack.size() < config_.telemetry_int_depth) {
-    // INT stamping: one copy, one stamp, bounded by the configured depth.
-    // The queue depth is read before this packet joins the backlog.
-    net::Packet stamped = packet;
+    // INT stamping: one stamp, bounded by the configured depth. The queue
+    // depth is read before this packet joins the backlog.
     net::HopStamp stamp;
     stamp.switch_id = config_.datapath_id;
     stamp.in_port = in_port;
@@ -694,25 +692,26 @@ void Switch::egress(const net::Packet& packet, std::uint16_t out_port, std::uint
     }
     stamp.arrived_at = packet.hop_arrived_at;
     stamp.departed_at = sim_.now();
-    stamped.tstack.push_back(stamp);
+    packet.tstack.push_back(stamp);
     ++counters_.int_stamps_applied;
-    enqueue_egress(port, stamped);
-    return;
   }
-  enqueue_egress(port, packet);
+  enqueue_egress(port, std::move(packet));
 }
 
-void Switch::enqueue_egress(Port& port, const net::Packet& packet) {
-  if (!port.scheduler->enqueue(packet)) {
+void Switch::enqueue_egress(Port& port, net::Packet&& packet) {
+  const std::uint64_t flow_id = packet.flow_id;
+  const std::uint32_t frame_size = packet.frame_size;
+  if (!port.scheduler->enqueue(std::move(packet))) {
+    // A refused packet is left with the caller.
     ++port.tx_dropped;
     ++counters_.packets_dropped;
     if (observer_ != nullptr) observer_->on_packet_dropped(packet, "egress-queue", sim_.now());
     return;
   }
   ++counters_.packets_forwarded;
-  if (recorder_ != nullptr) recorder_->on_packet_departure(packet.flow_id, sim_.now());
+  if (recorder_ != nullptr) recorder_->on_packet_departure(flow_id, sim_.now());
   ++port.tx_packets;
-  port.tx_bytes += packet.frame_size;
+  port.tx_bytes += frame_size;
 }
 
 bool Switch::sample_hit(const net::Packet& packet) const {
@@ -778,8 +777,7 @@ void Switch::flood(const net::Packet& packet, std::uint16_t in_port) {
   }
 }
 
-void Switch::handle_port_down_packet(Port& port, const net::Packet& packet,
-                                     std::uint16_t in_port) {
+void Switch::handle_port_down_packet(Port& port, net::Packet packet, std::uint16_t in_port) {
   switch (config_.port_down_policy) {
     case PortDownPolicy::RePktIn:
       // The forwarding decision is stale; treat the packet as a fresh table
@@ -788,7 +786,7 @@ void Switch::handle_port_down_packet(Port& port, const net::Packet& packet,
       // coalesce into a single buffer unit; under packet granularity each
       // consumes its own.
       ++counters_.port_down_repktin;
-      handle_miss(in_port, packet);
+      handle_miss(in_port, std::move(packet));
       return;
     case PortDownPolicy::Drop:
       ++counters_.port_down_dropped;
@@ -797,7 +795,7 @@ void Switch::handle_port_down_packet(Port& port, const net::Packet& packet,
       return;
     case PortDownPolicy::HoldUntilRecovery:
       ++counters_.port_down_held;
-      port.held.push_back(HeldPacket{packet, in_port, sim_.now()});
+      port.held.push_back(HeldPacket{std::move(packet), in_port, sim_.now()});
       return;
   }
 }
@@ -815,7 +813,7 @@ void Switch::set_port_state(std::uint16_t port_no, bool up) {
     port.held.clear();
     for (auto& h : held) {
       ++counters_.port_held_flushed;
-      egress(h.packet, port_no, h.in_port);
+      egress(std::move(h.packet), port_no, h.in_port);
     }
   }
 }
@@ -833,7 +831,7 @@ void Switch::send_port_status(std::uint16_t port_no, const Port& port, bool up) 
   msg.reason = up ? of::PortStatusReason::Add : of::PortStatusReason::Delete;
   msg.desc = port_desc(port_no, port);
   ++counters_.port_status_sent;
-  channel_->send_from_switch(msg);
+  channel_->send_from_switch(std::move(msg));
 }
 
 of::PortDesc Switch::port_desc(std::uint16_t port_no, const Port& port) const {
@@ -919,7 +917,7 @@ void Switch::handle_flow_stats(const of::FlowStatsRequest& msg) {
       e.byte_count = entry->byte_count;
       reply.flows.push_back(std::move(e));
     }
-    channel_->send_from_switch(reply);
+    channel_->send_from_switch(std::move(reply));
   });
 }
 
@@ -958,7 +956,7 @@ void Switch::handle_port_stats(const of::PortStatsRequest& msg) {
       e.tx_dropped = port.tx_dropped;
       reply.ports.push_back(e);
     }
-    channel_->send_from_switch(reply);
+    channel_->send_from_switch(std::move(reply));
   });
 }
 

@@ -42,6 +42,7 @@
 #include "switchd/flow_table.hpp"
 #include "switchd/mmu/mmu.hpp"
 #include "switchd/packet_buffer.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "verify/observer.hpp"
 
@@ -192,7 +193,8 @@ struct SwitchCounters {
 
 class Switch {
  public:
-  using DeliverFn = std::function<void(const net::Packet&)>;
+  // Hands the packet over (callbacks taking `const net::Packet&` work too).
+  using DeliverFn = std::function<void(net::Packet&&)>;
 
   Switch(sim::Simulator& sim, SwitchConfig config, std::uint64_t rng_seed);
 
@@ -281,6 +283,12 @@ class Switch {
     sim::SimTime held_at;
   };
 
+  // A packet inside the fixed-latency ASIC match stage.
+  struct AsicSlot {
+    net::Packet packet;
+    std::uint16_t in_port = 0;
+  };
+
   struct Port {
     net::Link* egress = nullptr;
     DeliverFn deliver;
@@ -300,13 +308,21 @@ class Switch {
   [[nodiscard]] sim::SimTime cost_us(double nominal_us);
   [[nodiscard]] sim::SimTime bus_time(std::size_t bytes) const;
 
-  void handle_miss(std::uint16_t in_port, const net::Packet& packet);
-  void miss_no_buffer(std::uint16_t in_port, const net::Packet& packet, bool buffer_exhausted);
-  void miss_packet_granularity(std::uint16_t in_port, const net::Packet& packet);
-  void miss_flow_granularity(std::uint16_t in_port, const net::Packet& packet);
+  void handle_miss(std::uint16_t in_port, net::Packet packet);
+  void miss_no_buffer(std::uint16_t in_port, net::Packet packet, bool buffer_exhausted);
+  void miss_packet_granularity(std::uint16_t in_port, net::Packet packet);
+  void miss_flow_granularity(std::uint16_t in_port, net::Packet packet);
 
+  // A miss goes to the controller: `data_bytes` of the frame cross the bus,
+  // the CPU spends `cpu_base_us` plus the per-byte cost building the
+  // packet_in, then sends it (arming a flow unit's re-request timer).
+  void punt(std::uint16_t in_port, net::Packet packet, std::uint32_t buffer_id,
+            std::size_t data_bytes, double cpu_base_us);
   void send_packet_in(const net::Packet& packet, std::uint16_t in_port, std::uint32_t buffer_id,
                       std::size_t data_bytes, of::PacketInReason reason);
+  // Algorithm 1 re-request of a live flow unit (timeout or reconciliation):
+  // the CPU re-encodes the unit's head packet and asks again.
+  void rerequest(std::uint32_t buffer_id, std::uint16_t in_port, const net::Packet& front);
   void schedule_flow_resend_check(std::uint32_t buffer_id, std::uint16_t in_port);
   // Backoff schedule: timeout * backoff^resends, capped.
   [[nodiscard]] sim::SimTime resend_timeout_for(unsigned resends) const;
@@ -319,25 +335,24 @@ class Switch {
   void complete_reconnect();
   void handle_miss_degraded(std::uint16_t in_port, const net::Packet& packet);
 
-  void on_control_message(const of::OfMessage& msg);
-  void handle_flow_mod(const of::FlowMod& msg);
-  void handle_packet_out(const of::PacketOut& msg);
+  void on_control_message(of::OfMessage& msg);
+  void handle_flow_mod(of::FlowMod msg);
+  void handle_packet_out(of::PacketOut msg);
   void report_unknown_buffer(const of::PacketOut& msg);
   void handle_flow_stats(const of::FlowStatsRequest& msg);
   void handle_aggregate_stats(const of::AggregateStatsRequest& msg);
   void handle_port_stats(const of::PortStatsRequest& msg);
-  void execute_actions(const net::Packet& packet, const of::ActionList& actions,
-                       std::uint16_t in_port);
-  void egress(const net::Packet& packet, std::uint16_t out_port, std::uint16_t in_port);
+  void execute_actions(net::Packet packet, const of::ActionList& actions, std::uint16_t in_port);
+  void egress(net::Packet packet, std::uint16_t out_port, std::uint16_t in_port);
   // Tail of egress(): scheduler enqueue + forwarding accounting.
-  void enqueue_egress(Port& port, const net::Packet& packet);
+  void enqueue_egress(Port& port, net::Packet&& packet);
   void flood(const net::Packet& packet, std::uint16_t in_port);
   // Deterministic 1-in-N sampling decision (telemetry_sample_period != 0).
   [[nodiscard]] bool sample_hit(const net::Packet& packet) const;
   // Emits an of::FlowSample for `packet` if it falls in the sample.
   void maybe_sample(std::uint16_t in_port, const net::Packet& packet);
   // Fate policy entry point for a packet whose egress port is down.
-  void handle_port_down_packet(Port& port, const net::Packet& packet, std::uint16_t in_port);
+  void handle_port_down_packet(Port& port, net::Packet packet, std::uint16_t in_port);
   void send_port_status(std::uint16_t port_no, const Port& port, bool up);
   [[nodiscard]] of::PortDesc port_desc(std::uint16_t port_no, const Port& port) const;
 
@@ -355,6 +370,8 @@ class Switch {
   std::unique_ptr<PacketBufferManager> packet_buffer_;
   std::unique_ptr<FlowBufferManager> flow_buffer_;
   std::unordered_map<std::uint16_t, Port> ports_;
+  // Packets in the ASIC match stage, in arrival (= completion) order.
+  util::Ring<AsicSlot> asic_stage_;
   of::Channel* channel_ = nullptr;
   metrics::DelayRecorder* recorder_ = nullptr;
   verify::InvariantObserver* observer_ = nullptr;

@@ -125,6 +125,38 @@ TEST(ChannelFaults, ExtraDelayJitterPreservesPerDirectionOrder) {
   }
 }
 
+TEST(ChannelFaults, DuplicatedAndJitteredCopiesSurviveAHandlerThatMovesOut) {
+  // Each delivery is its own decoded message: a receiver that moves the
+  // payload out of the first copy (as the switch and the controller do)
+  // leaves the duplicate intact, also when jitter defers the delivery.
+  ChannelRig rig;
+  of::FaultProfile profile;
+  profile.duplicate_to_switch = 1.0;
+  profile.max_extra_delay = ms(2);
+  rig.channel.set_fault_profile(profile, 11);
+  std::vector<of::FlowMod> received;
+  rig.channel.set_switch_handler([&](of::OfMessage& msg, std::size_t) {
+    received.push_back(std::move(std::get<of::FlowMod>(msg)));
+  });
+  std::vector<of::FlowMod> sent;
+  for (std::uint32_t xid = 1; xid <= 20; ++xid) {
+    of::FlowMod fm;
+    fm.xid = xid;
+    fm.match.in_port = static_cast<std::uint16_t>(xid);
+    fm.actions = {of::SetDlDstAction{net::MacAddress::from_index(xid)},
+                  of::OutputAction{static_cast<std::uint16_t>(xid + 1), 0}};
+    sent.push_back(fm);
+    rig.channel.send_from_controller(std::move(fm));
+  }
+  rig.sim.run();
+  ASSERT_EQ(received.size(), 2 * sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(received[2 * i], sent[i]) << "original of xid " << sent[i].xid;
+    EXPECT_EQ(received[2 * i + 1], sent[i]) << "duplicate of xid " << sent[i].xid;
+  }
+  EXPECT_EQ(rig.channel.fault_counters().duplicated_to_switch, sent.size());
+}
+
 TEST(ChannelFaults, RejectsUnsortedOutageWindows) {
   ChannelRig rig;
   of::FaultProfile profile;

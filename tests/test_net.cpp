@@ -12,6 +12,16 @@
 namespace sdnbuf::net {
 namespace {
 
+// Encodes one header through a cursor into a buffer cut to what it wrote.
+template <class Header>
+std::vector<std::uint8_t> encoded(const Header& h) {
+  std::vector<std::uint8_t> buf(64);
+  util::ByteCursor out(buf.data());
+  h.encode(out);
+  buf.resize(static_cast<std::size_t>(out.pos() - buf.data()));
+  return buf;
+}
+
 TEST(MacAddress, ParseAndFormatRoundTrip) {
   const auto mac = MacAddress::parse("02:00:5e:10:ab:cd");
   ASSERT_TRUE(mac.has_value());
@@ -54,12 +64,11 @@ TEST(Ipv4Address, ParseRejectsMalformed) {
 TEST(Checksum, KnownVector) {
   // RFC 1071 example-style check: the checksum of a buffer with its checksum
   // field filled verifies to zero.
-  std::vector<std::uint8_t> buf;
   Ipv4Header h;
   h.total_length = 100;
   h.src = Ipv4Address::from_octets(192, 168, 0, 1);
   h.dst = Ipv4Address::from_octets(192, 168, 0, 2);
-  h.encode(buf);
+  auto buf = encoded(h);
   EXPECT_EQ(internet_checksum(buf), 0);
 }
 
@@ -68,8 +77,7 @@ TEST(EthernetHeader, RoundTrip) {
   h.src = MacAddress::from_index(1);
   h.dst = MacAddress::from_index(2);
   h.ethertype = kEtherTypeIpv4;
-  std::vector<std::uint8_t> buf;
-  h.encode(buf);
+  auto buf = encoded(h);
   ASSERT_EQ(buf.size(), EthernetHeader::kSize);
   const auto decoded = EthernetHeader::decode(buf);
   ASSERT_TRUE(decoded.has_value());
@@ -90,8 +98,7 @@ TEST(Ipv4Header, RoundTrip) {
   h.protocol = kIpProtoUdp;
   h.src = Ipv4Address::from_octets(10, 1, 0, 5);
   h.dst = Ipv4Address::from_octets(10, 2, 0, 1);
-  std::vector<std::uint8_t> buf;
-  h.encode(buf);
+  auto buf = encoded(h);
   ASSERT_EQ(buf.size(), Ipv4Header::kSize);
   const auto decoded = Ipv4Header::decode(buf);
   ASSERT_TRUE(decoded.has_value());
@@ -101,8 +108,7 @@ TEST(Ipv4Header, RoundTrip) {
 TEST(Ipv4Header, DecodeRejectsCorruptChecksum) {
   Ipv4Header h;
   h.total_length = 40;
-  std::vector<std::uint8_t> buf;
-  h.encode(buf);
+  auto buf = encoded(h);
   buf[14] ^= 0x01;  // flip a source-address bit
   EXPECT_FALSE(Ipv4Header::decode(buf).has_value());
 }
@@ -112,8 +118,7 @@ TEST(UdpHeader, RoundTrip) {
   h.src_port = 10001;
   h.dst_port = 9;
   h.length = 966;
-  std::vector<std::uint8_t> buf;
-  h.encode(buf);
+  auto buf = encoded(h);
   ASSERT_EQ(buf.size(), UdpHeader::kSize);
   const auto decoded = UdpHeader::decode(buf);
   ASSERT_TRUE(decoded.has_value());
@@ -128,8 +133,7 @@ TEST(TcpHeader, RoundTrip) {
   h.ack = 0x55667788;
   h.flags = kTcpSyn | kTcpAck;
   h.window = 8192;
-  std::vector<std::uint8_t> buf;
-  h.encode(buf);
+  auto buf = encoded(h);
   ASSERT_EQ(buf.size(), TcpHeader::kSize);
   const auto decoded = TcpHeader::decode(buf);
   ASSERT_TRUE(decoded.has_value());

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -408,6 +411,44 @@ TEST(CpuServer, CompletionCallbackSubmissionQueuesFairly) {
   server.submit(SimTime::milliseconds(1), [&]() { order.push_back(1); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(CpuServer, JobsOwnMoveOnlyAndOversizedCaptures) {
+  // A job may own what it captures: a unique_ptr (move-only) and a capture
+  // too large for the inline buffer (heap fallback) both run, and the FIFO
+  // order across one core and the parallel order across two are unchanged.
+  struct Big {
+    std::array<std::uint8_t, 512> bytes{};
+  };
+  static_assert(sizeof(Big) > sizeof(CpuServer::Job), "must overflow the inline buffer");
+  for (const unsigned cores : {1u, 2u}) {
+    Simulator sim;
+    CpuServer server{sim, "cpu", cores};
+    std::vector<std::pair<int, SimTime>> done;
+    for (int i = 0; i < 6; ++i) {
+      if (i % 2 == 0) {
+        server.submit(SimTime::milliseconds(10),
+                      [&done, &sim, owned = std::make_unique<int>(i)]() {
+          done.emplace_back(*owned, sim.now());
+        });
+      } else {
+        Big big;
+        big.bytes.fill(static_cast<std::uint8_t>(i));
+        server.submit(SimTime::milliseconds(10), [&done, &sim, big]() {
+          done.emplace_back(big.bytes.front() == big.bytes.back() ? big.bytes[7] : -1,
+                            sim.now());
+        });
+      }
+    }
+    sim.run();
+    ASSERT_EQ(done.size(), 6u);
+    for (int i = 0; i < 6; ++i) {
+      EXPECT_EQ(done[static_cast<std::size_t>(i)].first, i) << cores << " cores";
+      // Jobs complete in submission order, `cores` at a time.
+      EXPECT_EQ(done[static_cast<std::size_t>(i)].second,
+                SimTime::milliseconds(10 * (1 + i / static_cast<int>(cores))));
+    }
+  }
 }
 
 }  // namespace

@@ -21,43 +21,51 @@ namespace sdnbuf::util {
 namespace {
 
 TEST(ByteOrder, RoundTrip16) {
-  std::vector<std::uint8_t> buf;
-  put_be16(buf, 0xabcd);
-  ASSERT_EQ(buf.size(), 2u);
+  std::vector<std::uint8_t> buf(2);
+  ByteCursor out(buf.data());
+  out.be16(0xabcd);
+  EXPECT_EQ(out.pos(), buf.data() + 2);
   EXPECT_EQ(buf[0], 0xab);
   EXPECT_EQ(buf[1], 0xcd);
   EXPECT_EQ(get_be16(buf, 0), 0xabcd);
 }
 
 TEST(ByteOrder, RoundTrip32) {
-  std::vector<std::uint8_t> buf;
-  put_be32(buf, 0xdeadbeef);
+  std::vector<std::uint8_t> buf(4);
+  ByteCursor out(buf.data());
+  out.be32(0xdeadbeef);
   EXPECT_EQ(get_be32(buf, 0), 0xdeadbeefu);
   EXPECT_EQ(buf[0], 0xde);  // big-endian: most significant byte first
 }
 
 TEST(ByteOrder, RoundTrip64) {
-  std::vector<std::uint8_t> buf;
-  put_be64(buf, 0x0123456789abcdefULL);
+  std::vector<std::uint8_t> buf(8);
+  ByteCursor out(buf.data());
+  out.be64(0x0123456789abcdefULL);
   EXPECT_EQ(get_be64(buf, 0), 0x0123456789abcdefULL);
 }
 
 TEST(ByteOrder, OffsetReads) {
-  std::vector<std::uint8_t> buf;
-  put_be16(buf, 1);
-  put_be32(buf, 2);
-  put_be16(buf, 3);
+  std::vector<std::uint8_t> buf(9);
+  ByteCursor out(buf.data());
+  out.be16(1);
+  out.be32(2);
+  out.be16(3);
+  out.u8(4);
+  EXPECT_EQ(out.pos(), buf.data() + buf.size());
   EXPECT_EQ(get_be16(buf, 0), 1);
   EXPECT_EQ(get_be32(buf, 2), 2u);
   EXPECT_EQ(get_be16(buf, 6), 3);
+  EXPECT_EQ(buf[8], 4);
 }
 
-TEST(ByteOrder, PadAppendsZeros) {
-  std::vector<std::uint8_t> buf{0xff};
-  put_pad(buf, 3);
-  ASSERT_EQ(buf.size(), 4u);
-  EXPECT_EQ(buf[1], 0);
-  EXPECT_EQ(buf[3], 0);
+TEST(ByteOrder, PadWritesZeros) {
+  std::vector<std::uint8_t> buf{0xff, 0xff, 0xff, 0xff, 0xff};
+  ByteCursor out(buf.data() + 1);
+  out.pad(3);
+  const std::uint8_t tail[] = {7};
+  out.bytes(tail);
+  EXPECT_EQ(buf, (std::vector<std::uint8_t>{0xff, 0, 0, 0, 7}));
 }
 
 TEST(Rng, DeterministicForSameSeed) {
