@@ -10,6 +10,10 @@
 #   bench_model_oracle, default flags                   -> model_validation.csv
 #   bench_mmu --quick                                   -> mmu.csv
 #   bench_telemetry --quick                             -> bench_telemetry_*
+#   bench_fig8_buffer_utilization --quick --reps 1 --trace-sample 1
+#     --metrics-out metrics.json    -> metrics-buffer-16.json, metrics-buffer-256.json
+#     (CI's traced smoke run; its CSVs and traces go to a subdirectory so
+#     they do not replace the default-flag fig8.csv)
 # Sweeps are bit-identical for any --jobs value, so JOBS only sets speed.
 #
 # Usage: scripts/check_goldens.sh [build_dir] [jobs]
@@ -36,6 +40,10 @@ done
 run bench_model_oracle
 run bench_mmu --quick
 run bench_telemetry --quick
+mkdir "$OUT/traced"
+"$BUILD_DIR/bench/bench_fig8_buffer_utilization" --quick --reps 1 --trace-sample 1 \
+  --jobs "$JOBS" --csv-dir "$OUT/traced" --trace-out "$OUT/traced/trace.json" \
+  --metrics-out "$OUT/metrics.json" > /dev/null
 
 status=0
 checked=0

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -29,22 +30,7 @@ void install_metrics(obs::MetricsRegistry& registry, FabricTestbed& bed,
 
   sw::Switch& ovs = bed.switch_at(0);
   of::Channel& channel = bed.channel_at(0);
-  obs::SwitchInstruments si;
-  si.pkt_in_bytes = &registry.histogram("switch.pkt_in_bytes", 16.0);
-  ovs.set_instruments(si);
-
-  obs::BufferInstruments bi;
-  bi.residency_ms = &registry.histogram("buffer.residency_ms", 0.125);
-  ovs.set_buffer_instruments(bi);
-
-  obs::ChannelInstruments chi;
-  chi.wire_bytes_to_controller = &registry.histogram("channel.wire_bytes_to_controller", 16.0);
-  chi.wire_bytes_to_switch = &registry.histogram("channel.wire_bytes_to_switch", 16.0);
-  channel.set_instruments(chi);
-
-  obs::ControllerInstruments ci;
-  ci.pkt_in_bytes = &registry.histogram("controller.pkt_in_bytes", 16.0);
-  bed.controller().set_instruments(ci);
+  bed.install_component_histograms(registry);
 
   obs::EgressInstruments ei;
   ei.queue_depth = &registry.histogram("egress.queue_depth", 1.0);
@@ -95,22 +81,20 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   SDNBUF_CHECK_MSG(fc.routing == FabricRouting::L2Learning,
                    "run_experiment needs L2-learning routing");
   SDNBUF_CHECK_MSG(fc.shards <= 1, "run_experiment runs on the sequential engine (shards <= 1)");
+  SDNBUF_CHECK_MSG(fc.observers.empty() && fc.observatory == nullptr,
+                   "set observer/observatory on ExperimentConfig, not on its testbed template");
   fc.seed = config.seed;
   fc.switch_config.buffer_mode = config.mode;
   fc.switch_config.buffer_capacity = config.buffer_capacity;
   fc.observatory = config.observatory;
 
-  // The tracer rides the same observation points as the invariant checker;
-  // tee only when both are wanted (the tee lives on this frame, outliving
-  // the bed) — a lone tracer is wired directly, skipping a dispatch hop.
-  obs::TeeObserver tee{config.observer, config.tracer};
-  verify::InvariantObserver* observer = config.observer;
-  if (config.tracer != nullptr) {
-    observer = config.observer != nullptr ? static_cast<verify::InvariantObserver*>(&tee)
-                                          : config.tracer;
+  // The tracer rides the same observation points as the invariant checker:
+  // teed with it when both are wanted (the tee lives on this frame,
+  // outliving the bed), wired directly when alone.
+  std::unique_ptr<verify::TeeObserver> tee;
+  if (verify::InvariantObserver* observer = verify::join(config.observer, config.tracer, tee)) {
+    fc.observers.push_back(observer);
   }
-  fc.observers.clear();
-  if (observer != nullptr) fc.observers.push_back(observer);
 
   metrics::DelayRecorder recorder;
   FabricTestbed bed{fc};

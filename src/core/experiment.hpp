@@ -35,8 +35,9 @@ struct ExperimentConfig {
 
   // Platform template (cost models, link speeds, channel faults):
   // mode/buffer_capacity/seed above override the corresponding fields. It
-  // must stay a one-switch, two-host L2 fabric on the sequential engine;
-  // run_experiment rejects anything else.
+  // must stay a one-switch, two-host L2 fabric on the sequential engine,
+  // with no observers or observatory of its own (the fields below set
+  // those); run_experiment rejects anything else.
   FabricConfig testbed = chain_fabric(1);
 
   // Extra simulated time allowed for the tail of the run to drain.

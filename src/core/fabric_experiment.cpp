@@ -12,6 +12,10 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   SDNBUF_CHECK_MSG(config.routing != FabricRouting::L2Learning,
                    "fabric experiments need topology routing (L2 flooding loops)");
 
+  SDNBUF_CHECK_MSG(config.fabric.observers.empty() && config.fabric.observatory == nullptr,
+                   "set observers/observatory on FabricExperimentConfig, not on its fabric "
+                   "template");
+
   FabricConfig fc = config.fabric;
   fc.topology = config.topology;
   fc.routing = config.routing;

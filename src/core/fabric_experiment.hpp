@@ -37,7 +37,9 @@ struct FabricExperimentConfig {
   std::uint64_t seed = 1;
 
   // Platform template (cost models, link speeds); mode/buffer_capacity/seed
-  // above override the corresponding fields.
+  // above override the corresponding fields. Its observers and observatory
+  // must stay unset (the fields below set those); run_fabric_experiment
+  // rejects a template that sets them.
   FabricConfig fabric;
 
   // Extra simulated time allowed for the tail of the run to drain.

@@ -28,11 +28,11 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
       sim_(engine_.shard(0)),
       topo_(config.topology),
       routing_(config.routing),
-      observers_(config.observers),
+      observatory_(config.observatory),
       pending_faults_(config.fault_profile),
       seed_(config.seed) {
   topo_.validate();
-  SDNBUF_CHECK_MSG(observers_.empty() || observers_.size() == topo_.n_switches(),
+  SDNBUF_CHECK_MSG(config.observers.empty() || config.observers.size() == topo_.n_switches(),
                    "observers must be empty or one per switch");
   SDNBUF_CHECK_MSG(!(pending_faults_.any() && engine_.n_shards() > 1),
                    "control-channel faults require the sequential engine (shards <= 1)");
@@ -128,52 +128,8 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
   }
   engine_.set_threads(config.shard_threads);
 
-  // Observer chains: per switch, the invariant registry (if any) teed with a
-  // FateObserver adapter into the shared observatory (if any). Injections
-  // into the observatory's global ledger are endpoint events only — the
-  // adapters ignore injections so cross-switch handoffs (which re-inject
-  // per-switch) do not double count; inject_from_host and the sink
-  // telemetry taps feed the global ledger directly.
-  observatory_ = config.observatory;
-  chain_.resize(topo_.n_switches(), nullptr);
-  for (unsigned i = 0; i < topo_.n_switches(); ++i) {
-    chain_[i] = observers_.empty() ? nullptr : observers_[i];
-    if (observatory_ == nullptr) continue;
-    fate_adapters_.push_back(std::make_unique<obs::FateObserver>(
-        *observatory_, topo_.name(topo_.switch_id(i))));
-    if (chain_[i] != nullptr) {
-      fate_tees_.push_back(
-          std::make_unique<obs::TeeObserver>(chain_[i], fate_adapters_.back().get()));
-      chain_[i] = fate_tees_.back().get();
-    } else {
-      chain_[i] = fate_adapters_.back().get();
-    }
-  }
-
+  wire_observers(config);
   wire_ports();
-
-  if (observatory_ != nullptr) {
-    for (unsigned h = 0; h < topo_.n_hosts(); ++h) {
-      sinks_[h]->set_telemetry_tap([obsy = observatory_](const net::Packet& p, sim::SimTime now) {
-        obsy->on_delivered(p, now);
-      });
-    }
-  }
-
-  for (unsigned i = 0; i < n_switches(); ++i) {
-    verify::InvariantObserver* obs = chain_[i];
-    if (obs == nullptr) continue;
-    switches_[i]->set_invariant_observer(obs);
-    controller_->set_invariant_observer_for(i + 1, obs);
-    channels_[i]->set_verify_tap(
-        [obs](bool to_controller, const of::OfMessage& msg, std::size_t, sim::SimTime when) {
-          obs->on_control_message(to_controller, msg, when);
-        });
-    channels_[i]->set_fault_tap([obs](bool to_controller, const of::OfMessage& msg,
-                                      of::FaultKind kind, sim::SimTime when) {
-      obs->on_channel_fault(to_controller, msg, kind, when);
-    });
-  }
 
   if (routing_ != FabricRouting::L2Learning) {
     controller_->enable_topology_routing(*router_, routing_ == FabricRouting::TopologyFullPath
@@ -189,6 +145,44 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
   // with pre-fault-plane builds).
   arm_link_faults(config.link_faults);
   arm_switch_crashes(config.switch_crashes);
+}
+
+void FabricTestbed::wire_observers(const FabricConfig& config) {
+  // Per switch, one observer chain: the invariant registry (if any) joined
+  // with a FateObserver adapter into the shared observatory (if any). The
+  // observatory's global ledger counts endpoint events only — the adapters
+  // ignore injections so cross-switch handoffs (which re-inject per switch)
+  // do not double count; inject_from_host and the sink telemetry taps feed
+  // the ledger directly.
+  chain_.resize(n_switches(), nullptr);
+  tees_.resize(n_switches());
+  for (unsigned i = 0; i < n_switches(); ++i) {
+    verify::InvariantObserver* fate = nullptr;
+    if (observatory_ != nullptr) {
+      fates_.push_back(
+          std::make_unique<obs::FateObserver>(*observatory_, topo_.name(topo_.switch_id(i))));
+      fate = fates_.back().get();
+    }
+    verify::InvariantObserver* registry = config.observers.empty() ? nullptr : config.observers[i];
+    verify::InvariantObserver* obs = chain_[i] = verify::join(registry, fate, tees_[i]);
+    if (obs == nullptr) continue;
+    switches_[i]->set_invariant_observer(obs);
+    controller_->set_invariant_observer_for(i + 1, obs);
+    channels_[i]->set_verify_tap(
+        [obs](bool to_controller, const of::OfMessage& msg, std::size_t, sim::SimTime when) {
+          obs->on_control_message(to_controller, msg, when);
+        });
+    channels_[i]->set_fault_tap([obs](bool to_controller, const of::OfMessage& msg,
+                                      of::FaultKind kind, sim::SimTime when) {
+      obs->on_channel_fault(to_controller, msg, kind, when);
+    });
+  }
+  if (observatory_ == nullptr) return;
+  for (auto& sink : sinks_) {
+    sink->set_telemetry_tap([obsy = observatory_](const net::Packet& p, sim::SimTime now) {
+      obsy->on_delivered(p, now);
+    });
+  }
 }
 
 void FabricTestbed::arm_link_faults(const std::vector<LinkFaultSpec>& faults) {
@@ -448,12 +442,7 @@ util::Samples FabricTestbed::first_packet_ms() const {
   return merged;
 }
 
-void FabricTestbed::install_metrics(obs::MetricsRegistry& registry) {
-  registry.set_meta("topology", "hosts=" + std::to_string(n_hosts()) +
-                                    ",switches=" + std::to_string(n_switches()) +
-                                    ",links=" + std::to_string(topo_.n_links()));
-  registry.set_meta("routing", fabric_routing_name(routing_));
-
+void FabricTestbed::install_component_histograms(obs::MetricsRegistry& registry) {
   // Shared histograms aggregate the distribution across the fabric; each
   // switch still gets its own bundle instance.
   obs::SwitchInstruments si;
@@ -472,6 +461,14 @@ void FabricTestbed::install_metrics(obs::MetricsRegistry& registry) {
   obs::ControllerInstruments ci;
   ci.pkt_in_bytes = &registry.histogram("controller.pkt_in_bytes", 16.0);
   controller_->set_instruments(ci);
+}
+
+void FabricTestbed::install_metrics(obs::MetricsRegistry& registry) {
+  registry.set_meta("topology", "hosts=" + std::to_string(n_hosts()) +
+                                    ",switches=" + std::to_string(n_switches()) +
+                                    ",links=" + std::to_string(topo_.n_links()));
+  registry.set_meta("routing", fabric_routing_name(routing_));
+  install_component_histograms(registry);
 
   // Per-switch poll gauges, prefixed with the switch name.
   for (unsigned i = 0; i < n_switches(); ++i) {

@@ -33,7 +33,6 @@
 #include "net/link.hpp"
 #include "obs/fabric_observatory.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "openflow/channel.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -218,6 +217,10 @@ class FabricTestbed {
   // `registry`. Histograms aggregate across switches; per-switch gauges are
   // prefixed with the switch name.
   void install_metrics(obs::MetricsRegistry& registry);
+  // The part of install_metrics every run shares: the five component
+  // histograms (switch/controller packet_in bytes, buffer residency, channel
+  // wire bytes each way), each one aggregated across switches.
+  void install_component_histograms(obs::MetricsRegistry& registry);
 
   // Attaches a setup-delay recorder to every switch and host sink. The
   // decomposition is per switch, so it is meaningful on one-switch fabrics.
@@ -231,6 +234,7 @@ class FabricTestbed {
   void reset_statistics();
 
  private:
+  void wire_observers(const FabricConfig& config);
   void wire_ports();
   void arm_link_faults(const std::vector<LinkFaultSpec>& faults);
   void arm_switch_crashes(const std::vector<SwitchCrashSpec>& crashes);
@@ -258,14 +262,12 @@ class FabricTestbed {
   std::vector<std::unique_ptr<sw::Switch>> switches_;            // switch index order
   std::vector<std::unique_ptr<net::DuplexLink>> control_links_;  // per switch
   std::vector<std::unique_ptr<of::Channel>> channels_;           // per switch
-  std::vector<verify::InvariantObserver*> observers_;            // empty or per switch
-  // Telemetry plane: per-switch fate adapters into the shared observatory,
-  // teed with the per-switch registries when both are present. chain_[i] is
-  // the observer every wiring point for switch i actually talks to (null
-  // when neither a registry nor an observatory is attached).
+  // Observation: chain_[i] is the one observer every wiring point for switch
+  // i talks to (null when neither an invariant observer nor the observatory
+  // is attached); fates_ and tees_ own what wire_observers built for it.
   obs::FabricObservatory* observatory_ = nullptr;
-  std::vector<std::unique_ptr<obs::FateObserver>> fate_adapters_;
-  std::vector<std::unique_ptr<obs::TeeObserver>> fate_tees_;
+  std::vector<std::unique_ptr<obs::FateObserver>> fates_;
+  std::vector<std::unique_ptr<verify::TeeObserver>> tees_;
   std::vector<verify::InvariantObserver*> chain_;
   // Fault schedules live here because the links hold raw pointers into them.
   std::vector<std::unique_ptr<net::LinkFaultSchedule>> fault_schedules_;

@@ -73,11 +73,12 @@ SweepResult run_sweep(const SweepConfig& config, std::string label, const Progre
       config.rates_mbps.empty() ? default_rates() : config.rates_mbps;
 
   const std::size_t cells = rates.size() * static_cast<std::size_t>(config.repetitions);
-  // Observer / capture / obs sinks are single shared objects; concurrent
-  // cells would race on them, so those configs stay on the sequential path.
+  // Observer / capture / obs sinks / the observatory are single shared
+  // objects; concurrent cells would race on them, so those configs stay on
+  // the sequential path.
   const bool shared_sinks = config.base.observer != nullptr || config.base.capture != nullptr ||
                             config.base.metrics != nullptr || config.base.tracer != nullptr ||
-                            config.base.profiler != nullptr;
+                            config.base.profiler != nullptr || config.base.observatory != nullptr;
   const std::size_t jobs =
       shared_sinks ? 1
                    : std::min<std::size_t>(std::max(config.jobs, 1), std::max<std::size_t>(cells, 1));

@@ -30,8 +30,9 @@ struct SweepConfig {
   int repetitions = 20;
   // Worker threads for the (rate, repetition) fan-out. 1 = run inline on the
   // calling thread (the historical sequential path). Forced to 1 when the
-  // base config carries an observer or capture, since those are single
-  // shared sinks. Values above the cell count are clamped.
+  // base config carries an observer, capture, metrics registry, tracer,
+  // profiler or observatory, since those are single shared sinks. Values
+  // above the cell count are clamped.
   int jobs = 1;
   ExperimentConfig base;
 };

@@ -12,7 +12,6 @@ void OccupancyTracker::set(std::uint64_t value, sim::SimTime now) {
   last_change_ = now;
   current_ = value;
   max_ = std::max(max_, value);
-  if (series_ != nullptr) series_->record(now, static_cast<double>(value));
 }
 
 void OccupancyTracker::decrement(sim::SimTime now) {

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 
-#include "metrics/time_series.hpp"
 #include "sim/time.hpp"
 
 namespace sdnbuf::metrics {
@@ -31,17 +30,12 @@ class OccupancyTracker {
   // Restarts the statistics (keeps the current gauge value).
   void reset(sim::SimTime now);
 
-  // Optionally mirrors every gauge change into a time series (for
-  // trajectory plots); pass nullptr to stop.
-  void set_series(TimeSeries* series) { series_ = series; }
-
  private:
   std::uint64_t current_ = 0;
   std::uint64_t max_ = 0;
   double unit_seconds_ = 0.0;  // integral of gauge over time
   sim::SimTime start_;
   sim::SimTime last_change_;
-  TimeSeries* series_ = nullptr;
 };
 
 }  // namespace sdnbuf::metrics

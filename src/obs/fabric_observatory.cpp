@@ -385,25 +385,16 @@ void FabricObservatory::reset() {
 
 // --- FateObserver ---
 
-void FateObserver::on_packet_injected(const net::Packet&, sim::SimTime) {}
-
-void FateObserver::on_packet_delivered(const net::Packet&, sim::SimTime) {}
-
 void FateObserver::on_packet_dropped(const net::Packet& packet, const char* where,
                                      sim::SimTime now) {
   obs_.on_fate(packet, classify_drop_site(where), site_, where, now);
 }
-
-void FateObserver::on_buffer_store(std::uint32_t, const net::Packet&, bool, bool, sim::SimTime) {}
-void FateObserver::on_buffer_release(std::uint32_t, const net::Packet&, sim::SimTime) {}
 
 void FateObserver::on_buffer_expire(std::uint32_t buffer_id, const net::Packet& packet,
                                     sim::SimTime now) {
   (void)buffer_id;
   obs_.on_fate(packet, PacketFate::BufferExpiry, site_, "buffer-expiry", now);
 }
-
-void FateObserver::on_buffer_unit_retired(std::uint32_t, sim::SimTime) {}
 
 const FateObserver::PacketInMeta* FateObserver::find_packet_in(std::uint32_t xid) const {
   if (xid < packet_ins_base_) return nullptr;
@@ -432,8 +423,6 @@ void FateObserver::on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffer_id,
   obs_.on_fate_id(meta->flow_id, meta->seq_in_flow, PacketFate::TableMissStorm, site_,
                   "pkt-in-dropped", now);
 }
-
-void FateObserver::on_control_message(bool, const of::OfMessage&, sim::SimTime) {}
 
 void FateObserver::on_channel_fault(bool to_controller, const of::OfMessage& msg,
                                     of::FaultKind kind, sim::SimTime now) {

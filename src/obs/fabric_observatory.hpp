@@ -23,10 +23,9 @@
 //     after another copy was lost, the recorded fate is retracted, so
 //     "fated" always means "terminally undelivered".
 //
-// Feed the observatory through `FateObserver` (an InvariantObserver adapter
-// one per switch) plus a host-sink delivery tap; it never hooks channels
-// itself (the single verify/fault tap slots belong to the invariant
-// registries).
+// Feed the observatory through `FateObserver` (an InvariantObserver adapter,
+// one per switch, which FabricTestbed puts on that switch's observer chain)
+// plus a host-sink delivery tap; it never hooks channels itself.
 #pragma once
 
 #include <cstdint>
@@ -296,28 +295,21 @@ class FabricObservatory {
 
 // InvariantObserver adapter: forwards one component's drop/expiry/loss events
 // into the observatory with a site label. Injections, deliveries and
-// mid-fabric handoffs are deliberately NOT forwarded — the testbed reports
-// endpoint injections and the host-sink tap deliveries, each exactly once
-// per payload, while per-switch handoffs would inflate the endpoint ledger.
+// mid-fabric handoffs are deliberately NOT forwarded (those hooks keep their
+// no-op defaults) — the testbed reports endpoint injections and the
+// host-sink tap deliveries, each exactly once per payload, while per-switch
+// handoffs would inflate the endpoint ledger.
 class FateObserver final : public verify::InvariantObserver {
  public:
   FateObserver(FabricObservatory& observatory, std::string site)
       : obs_(observatory), site_(std::move(site)) {}
 
-  void on_packet_injected(const net::Packet& packet, sim::SimTime now) override;
-  void on_packet_delivered(const net::Packet& packet, sim::SimTime now) override;
   void on_packet_dropped(const net::Packet& packet, const char* where, sim::SimTime now) override;
-  void on_buffer_store(std::uint32_t buffer_id, const net::Packet& packet, bool new_unit,
-                       bool flow_granularity, sim::SimTime now) override;
-  void on_buffer_release(std::uint32_t buffer_id, const net::Packet& packet,
-                         sim::SimTime now) override;
   void on_buffer_expire(std::uint32_t buffer_id, const net::Packet& packet,
                         sim::SimTime now) override;
-  void on_buffer_unit_retired(std::uint32_t buffer_id, sim::SimTime now) override;
   void on_packet_in_sent(std::uint32_t xid, const net::Packet& packet, std::uint32_t buffer_id,
                          sim::SimTime now) override;
   void on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffer_id, sim::SimTime now) override;
-  void on_control_message(bool to_controller, const of::OfMessage& msg, sim::SimTime now) override;
   void on_channel_fault(bool to_controller, const of::OfMessage& msg, of::FaultKind kind,
                         sim::SimTime now) override;
 

@@ -130,22 +130,6 @@ void Histogram::reset() {
   buckets_.fill(0);
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  auto it = counter_index_.find(name);
-  if (it != counter_index_.end()) return counters_[it->second];
-  counter_index_.emplace(name, counters_.size());
-  counter_names_.push_back(name);
-  return counters_.emplace_back();
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  auto it = gauge_index_.find(name);
-  if (it != gauge_index_.end()) return gauges_[it->second];
-  gauge_index_.emplace(name, gauges_.size());
-  gauge_names_.push_back(name);
-  return gauges_.emplace_back();
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name, double unit) {
   auto it = histogram_index_.find(name);
   if (it != histogram_index_.end()) return histograms_[it->second];
@@ -188,21 +172,9 @@ void MetricsRegistry::set_meta(const std::string& key, const std::string& value)
 void MetricsRegistry::take_snapshot(sim::SimTime now) {
   SnapshotRow row;
   row.t = now;
-  row.values.reserve(counters_.size() + gauges_.size() + polls_.size());
-  for (const Counter& c : counters_) row.values.push_back(static_cast<double>(c.value()));
-  for (const Gauge& g : gauges_) row.values.push_back(g.value());
+  row.values.reserve(polls_.size());
   for (const auto& poll : polls_) row.values.push_back(poll ? poll() : 0.0);
   snapshots_.push_back(std::move(row));
-}
-
-const Counter* MetricsRegistry::find_counter(const std::string& name) const {
-  auto it = counter_index_.find(name);
-  return it == counter_index_.end() ? nullptr : &counters_[it->second];
-}
-
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  auto it = gauge_index_.find(name);
-  return it == gauge_index_.end() ? nullptr : &gauges_[it->second];
 }
 
 const Histogram* MetricsRegistry::find_histogram(const std::string& name) const {
@@ -214,18 +186,8 @@ std::optional<double> MetricsRegistry::snapshot_value(std::size_t row,
                                                       const std::string& name) const {
   if (row >= snapshots_.size()) return std::nullopt;
   const SnapshotRow& r = snapshots_[row];
-  std::size_t col = 0;
-  for (const std::string& n : counter_names_) {
-    if (n == name && col < r.values.size()) return r.values[col];
-    ++col;
-  }
-  for (const std::string& n : gauge_names_) {
-    if (n == name && col < r.values.size()) return r.values[col];
-    ++col;
-  }
-  for (const std::string& n : poll_names_) {
-    if (n == name && col < r.values.size()) return r.values[col];
-    ++col;
+  for (std::size_t col = 0; col < poll_names_.size() && col < r.values.size(); ++col) {
+    if (poll_names_[col] == name) return r.values[col];
   }
   return std::nullopt;
 }
@@ -247,14 +209,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   out << (first ? "},\n" : "\n  },\n");
 
   out << "  \"columns\": [\"t_ms\"";
-  for (const std::string& n : counter_names_) {
-    out << ", ";
-    write_json_string(out, n);
-  }
-  for (const std::string& n : gauge_names_) {
-    out << ", ";
-    write_json_string(out, n);
-  }
   for (const std::string& n : poll_names_) {
     out << ", ";
     write_json_string(out, n);
@@ -309,16 +263,10 @@ void MetricsRegistry::write_json(std::ostream& out) const {
 }
 
 void MetricsRegistry::reset() {
-  counters_.clear();
-  gauges_.clear();
   polls_.clear();
   histograms_.clear();
-  counter_names_.clear();
-  gauge_names_.clear();
   poll_names_.clear();
   histogram_names_.clear();
-  counter_index_.clear();
-  gauge_index_.clear();
   histogram_index_.clear();
   meta_.clear();
   snapshots_.clear();

@@ -1,18 +1,18 @@
-// Runtime metrics: named counters, gauges and log2-bucketed histograms,
-// owned by a `MetricsRegistry` and snapshot-exportable as a JSON time
-// series.
+// Runtime metrics: log2-bucketed histograms and poll gauges, owned by a
+// `MetricsRegistry` and snapshot-exportable as a JSON time series.
 //
 // Design contract (DESIGN.md §10): components never pay for observability
-// they did not ask for. Hot paths hold nullable pointers to instruments —
-// a disabled run performs exactly one pointer comparison per potential
-// observation, the same pattern as `verify::Observer`. Instruments are
-// registered once per component at wiring time (string hashing happens
-// there, never per event); an increment is then a couple of integer adds.
+// they did not ask for. Hot paths hold nullable pointers to histograms (the
+// obs::*Instruments bundles) — a disabled run performs exactly one pointer
+// comparison per potential observation, the same pattern as
+// `verify::InvariantObserver`. Histograms are registered once per component
+// at wiring time (string hashing happens there, never per event); a record
+// is then an exponent extraction and a couple of integer adds.
 //
-// The registry additionally supports *poll gauges*: callbacks sampled only
-// when a snapshot is taken, which turn the repo's existing per-component
-// counters (SwitchCounters, MessageCounters, OccupancyTracker, ...) into
-// time series at literally zero hot-path cost.
+// Everything else is a *poll gauge*: a callback sampled only when a snapshot
+// is taken, which turns the repo's existing per-component counters
+// (SwitchCounters, MessageCounters, OccupancyTracker, ...) into time series
+// at zero hot-path cost.
 #pragma once
 
 #include <array>
@@ -30,29 +30,6 @@
 #include "sim/time.hpp"
 
 namespace sdnbuf::obs {
-
-// Monotonic event count. Cumulative in snapshots (Prometheus-style), so
-// rates are recoverable by differencing adjacent rows.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-// Last-written value; snapshots record whatever was set most recently.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  [[nodiscard]] double value() const { return value_; }
-  void reset() { value_ = 0.0; }
-
- private:
-  double value_ = 0.0;
-};
 
 // Log2-bucketed histogram over non-negative values.
 //
@@ -106,12 +83,12 @@ class Histogram {
   std::array<std::uint64_t, kBuckets> buckets_{};
 };
 
-// Name -> instrument registry with periodic snapshots.
+// Name -> histogram / poll gauge registry with periodic snapshots.
 //
-// Instruments live in deques so registration never invalidates the raw
-// pointers components hold. Snapshot rows record every counter (cumulative
-// value), gauge, and poll callback at one sim-time instant; histograms are
-// exported once, in full, at write_json time.
+// Histograms live in a deque so registration never invalidates the raw
+// pointers components hold. Snapshot rows record every poll gauge at one
+// sim-time instant; histograms are exported once, in full, at write_json
+// time.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -119,9 +96,7 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // Get-or-create by name: re-registering an existing name returns the same
-  // instrument (so two components may share one by agreement).
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
+  // histogram (so two components may share one by agreement).
   Histogram& histogram(const std::string& name, double unit = 1.0);
 
   // Registers a callback sampled at snapshot time. Polls typically capture
@@ -139,15 +114,13 @@ class MetricsRegistry {
 
   [[nodiscard]] std::size_t snapshot_count() const { return snapshots_.size(); }
   [[nodiscard]] std::size_t instrument_count() const {
-    return counters_.size() + gauges_.size() + histograms_.size() + polls_.size();
+    return histograms_.size() + polls_.size();
   }
 
-  [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
   [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
 
-  // Value of a named column in snapshot row `row` (counters, gauges and
-  // polls share one namespace here); nullopt for unknown names.
+  // Value of poll gauge `name` in snapshot row `row`; nullopt for unknown
+  // names.
   [[nodiscard]] std::optional<double> snapshot_value(std::size_t row,
                                                      const std::string& name) const;
   [[nodiscard]] sim::SimTime snapshot_time(std::size_t row) const;
@@ -155,25 +128,19 @@ class MetricsRegistry {
   // Full JSON document: meta, column names, snapshot rows, histograms.
   void write_json(std::ostream& out) const;
 
-  // Drops every instrument, poll, snapshot and meta entry.
+  // Drops every histogram, poll, snapshot and meta entry.
   void reset();
 
  private:
   struct SnapshotRow {
     sim::SimTime t;
-    std::vector<double> values;  // counters, then gauges, then polls
+    std::vector<double> values;  // one per poll, in registration order
   };
 
-  std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
   std::deque<std::function<double()>> polls_;
   std::deque<Histogram> histograms_;
-  std::vector<std::string> counter_names_;
-  std::vector<std::string> gauge_names_;
   std::vector<std::string> poll_names_;
   std::vector<std::string> histogram_names_;
-  std::unordered_map<std::string, std::size_t> counter_index_;
-  std::unordered_map<std::string, std::size_t> gauge_index_;
   std::unordered_map<std::string, std::size_t> histogram_index_;
   std::vector<std::pair<std::string, std::string>> meta_;
   std::vector<SnapshotRow> snapshots_;

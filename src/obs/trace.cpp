@@ -331,76 +331,4 @@ void FlowTracer::finalize(sim::SimTime now) {
   open_buffers_.clear();
 }
 
-void TeeObserver::on_packet_injected(const net::Packet& packet, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_packet_injected(packet, now);
-  if (b_ != nullptr) b_->on_packet_injected(packet, now);
-}
-void TeeObserver::on_packet_delivered(const net::Packet& packet, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_packet_delivered(packet, now);
-  if (b_ != nullptr) b_->on_packet_delivered(packet, now);
-}
-void TeeObserver::on_packet_dropped(const net::Packet& packet, const char* where,
-                                    sim::SimTime now) {
-  if (a_ != nullptr) a_->on_packet_dropped(packet, where, now);
-  if (b_ != nullptr) b_->on_packet_dropped(packet, where, now);
-}
-void TeeObserver::on_buffer_store(std::uint32_t buffer_id, const net::Packet& packet, bool new_unit,
-                                  bool flow_granularity, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_buffer_store(buffer_id, packet, new_unit, flow_granularity, now);
-  if (b_ != nullptr) b_->on_buffer_store(buffer_id, packet, new_unit, flow_granularity, now);
-}
-void TeeObserver::on_buffer_release(std::uint32_t buffer_id, const net::Packet& packet,
-                                    sim::SimTime now) {
-  if (a_ != nullptr) a_->on_buffer_release(buffer_id, packet, now);
-  if (b_ != nullptr) b_->on_buffer_release(buffer_id, packet, now);
-}
-void TeeObserver::on_buffer_expire(std::uint32_t buffer_id, const net::Packet& packet,
-                                   sim::SimTime now) {
-  if (a_ != nullptr) a_->on_buffer_expire(buffer_id, packet, now);
-  if (b_ != nullptr) b_->on_buffer_expire(buffer_id, packet, now);
-}
-void TeeObserver::on_buffer_unit_retired(std::uint32_t buffer_id, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_buffer_unit_retired(buffer_id, now);
-  if (b_ != nullptr) b_->on_buffer_unit_retired(buffer_id, now);
-}
-void TeeObserver::on_packet_in_sent(std::uint32_t xid, const net::Packet& packet,
-                                    std::uint32_t buffer_id, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_packet_in_sent(xid, packet, buffer_id, now);
-  if (b_ != nullptr) b_->on_packet_in_sent(xid, packet, buffer_id, now);
-}
-void TeeObserver::on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffer_id, sim::SimTime now) {
-  if (a_ != nullptr) a_->on_pkt_in_dropped(xid, buffer_id, now);
-  if (b_ != nullptr) b_->on_pkt_in_dropped(xid, buffer_id, now);
-}
-void TeeObserver::on_control_message(bool to_controller, const of::OfMessage& msg,
-                                     sim::SimTime now) {
-  if (a_ != nullptr) a_->on_control_message(to_controller, msg, now);
-  if (b_ != nullptr) b_->on_control_message(to_controller, msg, now);
-}
-void TeeObserver::on_channel_fault(bool to_controller, const of::OfMessage& msg, of::FaultKind kind,
-                                   sim::SimTime now) {
-  if (a_ != nullptr) a_->on_channel_fault(to_controller, msg, kind, now);
-  if (b_ != nullptr) b_->on_channel_fault(to_controller, msg, kind, now);
-}
-void TeeObserver::on_mmu_admit(std::uint32_t queue, std::uint64_t native, std::uint64_t cells,
-                               std::uint64_t queue_cells_after, std::uint64_t pool_cells_after,
-                               sim::SimTime now) {
-  if (a_ != nullptr) {
-    a_->on_mmu_admit(queue, native, cells, queue_cells_after, pool_cells_after, now);
-  }
-  if (b_ != nullptr) {
-    b_->on_mmu_admit(queue, native, cells, queue_cells_after, pool_cells_after, now);
-  }
-}
-void TeeObserver::on_mmu_release(std::uint32_t queue, std::uint64_t native, std::uint64_t cells,
-                                 std::uint64_t queue_cells_after, std::uint64_t pool_cells_after,
-                                 sim::SimTime now) {
-  if (a_ != nullptr) {
-    a_->on_mmu_release(queue, native, cells, queue_cells_after, pool_cells_after, now);
-  }
-  if (b_ != nullptr) {
-    b_->on_mmu_release(queue, native, cells, queue_cells_after, pool_cells_after, now);
-  }
-}
-
 }  // namespace sdnbuf::obs

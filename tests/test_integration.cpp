@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "core/fabric_experiment.hpp"
 #include "core/sweep.hpp"
 #include "host/traffic_gen.hpp"
+#include "obs/fabric_observatory.hpp"
+#include "topo/topology.hpp"
+#include "verify/invariants.hpp"
 
 namespace sdnbuf::core {
 namespace {
@@ -335,6 +339,50 @@ TEST(Integration, RejectsATemplateOtherThanTheOneSwitchRig) {
   ExperimentConfig sharded = base_config(sw::BufferMode::PacketGranularity);
   sharded.testbed.shards = 2;
   EXPECT_DEATH((void)run_experiment(sharded), "sequential engine");
+
+  // Observers and the observatory belong on ExperimentConfig; a template
+  // that sets its own would be silently replaced, so it is refused.
+  verify::InvariantRegistry registry;
+  ExperimentConfig template_observer = base_config(sw::BufferMode::PacketGranularity);
+  template_observer.testbed.observers.push_back(&registry);
+  EXPECT_DEATH((void)run_experiment(template_observer), "not on its testbed template");
+
+  obs::FabricObservatory observatory;
+  ExperimentConfig template_observatory = base_config(sw::BufferMode::PacketGranularity);
+  template_observatory.testbed.observatory = &observatory;
+  EXPECT_DEATH((void)run_experiment(template_observatory), "not on its testbed template");
+
+  FabricExperimentConfig fabric;
+  fabric.topology = topo::make_leaf_spine(1, 2, 2);
+  fabric.routing = FabricRouting::TopologyPerHop;
+  FabricExperimentConfig fabric_observers = fabric;
+  fabric_observers.fabric.observers.assign(fabric.topology.n_switches(), &registry);
+  EXPECT_DEATH((void)run_fabric_experiment(fabric_observers), "not on its fabric template");
+  FabricExperimentConfig fabric_observatory = fabric;
+  fabric_observatory.fabric.observatory = &observatory;
+  EXPECT_DEATH((void)run_fabric_experiment(fabric_observatory), "not on its fabric template");
+}
+
+TEST(RuleAggregation, OneRuleCoversManyFlows) {
+  // Exact-match rules: one miss per flow. With /16 source aggregation, the
+  // first miss installs a rule covering the whole forged-source block.
+  ExperimentConfig exact;
+  exact.mode = sw::BufferMode::PacketGranularity;
+  exact.rate_mbps = 20.0;
+  exact.n_flows = 200;  // forged sources 10.1.0.1 .. 10.1.0.200
+  exact.seed = 3;
+  ExperimentConfig aggregated = exact;
+  aggregated.testbed.controller_config.aggregate_src_bits = 16;  // /16 source block
+
+  const auto r_exact = run_experiment(exact);
+  const auto r_aggregated = run_experiment(aggregated);
+  EXPECT_EQ(r_exact.pkt_ins_sent, 200u);
+  // A handful of flows miss before the aggregate rule lands; afterwards
+  // everything hits it.
+  EXPECT_LT(r_aggregated.pkt_ins_sent, 20u);
+  EXPECT_TRUE(r_aggregated.drained);
+  EXPECT_EQ(r_aggregated.duplicates, 0u);
+  EXPECT_LT(r_aggregated.to_controller_bytes, r_exact.to_controller_bytes / 10);
 }
 
 TEST(Integration, DefaultRatesMatchPaperAxis) {

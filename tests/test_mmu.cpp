@@ -15,7 +15,6 @@
 #include "core/fabric_testbed.hpp"
 #include "net/link.hpp"
 #include "obs/fabric_observatory.hpp"
-#include "obs/trace.hpp"
 #include "switchd/egress_scheduler.hpp"
 #include "switchd/mmu/mmu.hpp"
 #include "switchd/mmu/policy.hpp"
@@ -418,12 +417,13 @@ TEST(PoolConservation, TeedRegistrySeesTheSameMmuStreamAsADirectOne) {
     cfg.fabric.switch_config.mmu.policy = sw::mmu::PolicyKind::DynamicThreshold;
     cfg.fabric.switch_config.mmu.pool_cells = 256;
     std::vector<std::unique_ptr<verify::InvariantRegistry>> registries;
-    std::vector<std::unique_ptr<obs::TeeObserver>> tees;
+    std::vector<std::unique_ptr<verify::TeeObserver>> tees;
+    verify::InvariantObserver silent;  // every hook a no-op
     for (unsigned i = 0; i < topology.n_switches(); ++i) {
       registries.push_back(std::make_unique<verify::InvariantRegistry>());
       verify::InvariantObserver* observer = registries.back().get();
       if (teed) {
-        tees.push_back(std::make_unique<obs::TeeObserver>(observer, nullptr));
+        tees.push_back(std::make_unique<verify::TeeObserver>(*observer, silent));
         observer = tees.back().get();
       }
       cfg.observers.push_back(observer);

@@ -111,31 +111,33 @@ TEST(Histogram, MergeAndResetBehave) {
 
 // --- MetricsRegistry -------------------------------------------------------
 
-TEST(MetricsRegistry, GetOrCreateSharesInstrumentsByName) {
+TEST(MetricsRegistry, GetOrCreateSharesHistogramsByName) {
   obs::MetricsRegistry reg;
-  obs::Counter& c1 = reg.counter("x");
-  obs::Counter& c2 = reg.counter("x");
-  EXPECT_EQ(&c1, &c2);
-  c1.add(3);
-  EXPECT_EQ(c2.value(), 3u);
   obs::Histogram& h1 = reg.histogram("h", 2.0);
   obs::Histogram& h2 = reg.histogram("h");
   EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(h2.unit(), 2.0);
+  h1.record(3.0);
+  EXPECT_EQ(reg.find_histogram("h")->count(), 1u);
+  EXPECT_EQ(reg.find_histogram("nope"), nullptr);
 }
 
-TEST(MetricsRegistry, SnapshotsRecordCountersGaugesAndPolls) {
+TEST(MetricsRegistry, SnapshotsRecordPollGauges) {
   obs::MetricsRegistry reg;
-  obs::Counter& events = reg.counter("events");
-  obs::Gauge& depth = reg.gauge("depth");
+  double events = 0.0;
+  double depth = 0.0;
   double polled = 7.0;
+  reg.register_poll("events", [&events]() { return events; });
+  reg.register_poll("depth", [&depth]() { return depth; });
   reg.register_poll("polled", [&polled]() { return polled; });
+  reg.histogram("h").record(1.0);
+  EXPECT_EQ(reg.instrument_count(), 4u);
 
-  events.add(5);
-  depth.set(2.5);
+  events = 5.0;
+  depth = 2.5;
   reg.take_snapshot(ms(10));
-  events.add(5);
-  depth.set(4.0);
+  events = 10.0;
+  depth = 4.0;
   polled = 9.0;
   reg.take_snapshot(ms(20));
 
@@ -143,19 +145,34 @@ TEST(MetricsRegistry, SnapshotsRecordCountersGaugesAndPolls) {
   EXPECT_EQ(reg.snapshot_time(0), ms(10));
   EXPECT_EQ(reg.snapshot_time(1), ms(20));
   EXPECT_EQ(reg.snapshot_value(0, "events"), 5.0);
-  EXPECT_EQ(reg.snapshot_value(1, "events"), 10.0);  // cumulative
+  EXPECT_EQ(reg.snapshot_value(1, "events"), 10.0);
   EXPECT_EQ(reg.snapshot_value(0, "depth"), 2.5);
   EXPECT_EQ(reg.snapshot_value(1, "depth"), 4.0);
   EXPECT_EQ(reg.snapshot_value(0, "polled"), 7.0);
   EXPECT_EQ(reg.snapshot_value(1, "polled"), 9.0);
   EXPECT_FALSE(reg.snapshot_value(0, "nope").has_value());
+  EXPECT_FALSE(reg.snapshot_value(0, "h").has_value());  // histograms are not columns
+  EXPECT_FALSE(reg.snapshot_value(2, "events").has_value());
+
+  // Re-registering a name rebinds the callback instead of adding a column;
+  // clear_polls keeps the columns and records 0 from then on.
+  reg.register_poll("depth", []() { return 1.5; });
+  reg.take_snapshot(ms(30));
+  EXPECT_EQ(reg.snapshot_value(2, "depth"), 1.5);
+  reg.clear_polls();
+  reg.take_snapshot(ms(40));
+  EXPECT_EQ(reg.snapshot_value(3, "events"), 0.0);
+  EXPECT_EQ(reg.instrument_count(), 4u);
 
   reg.set_meta("label", "test");
   std::ostringstream out;
   reg.write_json(out);
   const std::string json = out.str();
-  EXPECT_NE(json.find("\"events\""), std::string::npos);
-  EXPECT_NE(json.find("\"polled\""), std::string::npos);
+  EXPECT_NE(json.find("\"columns\": [\"t_ms\", \"events\", \"depth\", \"polled\"]"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("[10, 5, 2.5, 7]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"h\": {\"unit\": 1, \"count\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"label\""), std::string::npos);
   EXPECT_EQ(json.front(), '{');
 }
@@ -163,13 +180,17 @@ TEST(MetricsRegistry, SnapshotsRecordCountersGaugesAndPolls) {
 TEST(MetricsSnapshotter, TicksAtTheConfiguredInterval) {
   sim::Simulator sim;
   obs::MetricsRegistry reg;
-  reg.counter("c");
+  reg.register_poll("now_ms", [&sim]() { return sim.now().ms(); });
   obs::MetricsSnapshotter snap{sim, reg, ms(10)};
   snap.start();  // immediate snapshot at t=0
   sim.run_until(ms(35));
   snap.stop();
   sim.run();  // must terminate: the recurring tick was cancelled
-  EXPECT_EQ(reg.snapshot_count(), 4u);  // t = 0, 10, 20, 30
+  ASSERT_EQ(reg.snapshot_count(), 4u);  // t = 0, 10, 20, 30
+  for (std::size_t row = 0; row < 4; ++row) {
+    EXPECT_EQ(reg.snapshot_time(row), ms(10 * static_cast<long long>(row)));
+    EXPECT_EQ(reg.snapshot_value(row, "now_ms"), 10.0 * static_cast<double>(row));
+  }
 }
 
 // --- EventLoopProfiler -----------------------------------------------------

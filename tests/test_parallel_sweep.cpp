@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/sweep.hpp"
+#include "obs/fabric_observatory.hpp"
 #include "verify/invariants.hpp"
 
 namespace sdnbuf::core {
@@ -93,6 +94,29 @@ TEST(ParallelSweep, ObserverForcesSequentialPathAndStillMatches) {
   EXPECT_GT(registry.events_observed(), 0u);
   registry.finalize(/*expect_all_delivered=*/true);
   EXPECT_TRUE(registry.ok()) << registry.report();
+}
+
+TEST(ParallelSweep, ObservatoryForcesSequentialPath) {
+  // The telemetry observatory is one shared aggregate that every cell resets
+  // and writes, so run_sweep must ignore jobs > 1 when the base config
+  // carries one (parallel cells raced on it). Results match the jobs=1
+  // sweep, and the ledger the last cell leaves behind balances.
+  SweepConfig sweep = small_sweep();
+  sweep.rates_mbps = {10.0, 20.0, 30.0, 50.0};
+  sweep.repetitions = 2;
+  obs::FabricObservatory observatory;
+  sweep.base.observatory = &observatory;
+
+  sweep.jobs = 1;
+  const SweepResult sequential = run_sweep(sweep, "observatory");
+  sweep.jobs = 4;
+  const SweepResult parallel = run_sweep(sweep, "observatory");
+  EXPECT_TRUE(bitwise_equal(sequential, parallel));
+
+  const std::uint64_t per_cell = sweep.base.n_flows * sweep.base.packets_per_flow;
+  EXPECT_EQ(observatory.injected(), per_cell);
+  EXPECT_EQ(observatory.delivered() + observatory.fated(), observatory.injected());
+  EXPECT_EQ(observatory.stranded(), 0u);
 }
 
 }  // namespace

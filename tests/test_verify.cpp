@@ -3,7 +3,11 @@
 // same-seed determinism regression test, and a fuzzer smoke test.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "net/packet.hpp"
@@ -162,6 +166,159 @@ TEST(InvariantRegistry, DetectsCaptureTimeRegression) {
   reg.on_control_message(true, of::Hello{1}, ms(2));
   reg.on_control_message(true, of::Hello{2}, ms(1));
   EXPECT_TRUE(has_violation(reg, "capture-time-regression")) << reg.report();
+}
+
+// --- TeeObserver ----------------------------------------------------------
+
+// Logs every hook it receives as (side, hook, one value packing its
+// arguments, time) into a log shared by both sides of a tee.
+struct HookCall {
+  char side;
+  std::string hook;
+  std::uint64_t arg;
+  sim::SimTime now;
+  bool operator==(const HookCall& o) const {
+    return side == o.side && hook == o.hook && arg == o.arg && now == o.now;
+  }
+};
+
+class RecordingObserver final : public verify::InvariantObserver {
+ public:
+  RecordingObserver(char side, std::vector<HookCall>& log) : side_(side), log_(log) {}
+
+  void on_packet_injected(const net::Packet& p, sim::SimTime now) override {
+    add("injected", p.flow_id, now);
+  }
+  void on_packet_delivered(const net::Packet& p, sim::SimTime now) override {
+    add("delivered", p.flow_id, now);
+  }
+  void on_packet_dropped(const net::Packet& p, const char* where, sim::SimTime now) override {
+    add(std::string("dropped:") + where, p.flow_id, now);
+  }
+  void on_buffer_store(std::uint32_t id, const net::Packet&, bool new_unit, bool flow,
+                       sim::SimTime now) override {
+    add("store", id * 4u + (new_unit ? 2u : 0u) + (flow ? 1u : 0u), now);
+  }
+  void on_buffer_release(std::uint32_t id, const net::Packet&, sim::SimTime now) override {
+    add("release", id, now);
+  }
+  void on_buffer_expire(std::uint32_t id, const net::Packet&, sim::SimTime now) override {
+    add("expire", id, now);
+  }
+  void on_buffer_unit_retired(std::uint32_t id, sim::SimTime now) override {
+    add("retired", id, now);
+  }
+  void on_packet_in_sent(std::uint32_t xid, const net::Packet&, std::uint32_t buffer_id,
+                         sim::SimTime now) override {
+    add("pkt_in_sent", std::uint64_t{xid} << 32 | buffer_id, now);
+  }
+  void on_pkt_in_dropped(std::uint32_t xid, std::uint32_t buffer_id, sim::SimTime now) override {
+    add("pkt_in_dropped", std::uint64_t{xid} << 32 | buffer_id, now);
+  }
+  void on_control_message(bool up, const of::OfMessage& msg, sim::SimTime now) override {
+    add(up ? "control:up" : "control:down", std::get<of::PacketIn>(msg).xid, now);
+  }
+  void on_channel_fault(bool up, const of::OfMessage& msg, of::FaultKind kind,
+                        sim::SimTime now) override {
+    add(up ? "fault:up" : "fault:down",
+        std::get<of::PacketIn>(msg).xid * 8u + static_cast<unsigned>(kind), now);
+  }
+  void on_mmu_admit(std::uint32_t queue, std::uint64_t native, std::uint64_t cells,
+                    std::uint64_t queue_after, std::uint64_t pool_after,
+                    sim::SimTime now) override {
+    add("mmu_admit", queue + native * 10 + cells * 100 + queue_after * 1000 + pool_after * 10000,
+        now);
+  }
+  void on_mmu_release(std::uint32_t queue, std::uint64_t native, std::uint64_t cells,
+                      std::uint64_t queue_after, std::uint64_t pool_after,
+                      sim::SimTime now) override {
+    add("mmu_release",
+        queue + native * 10 + cells * 100 + queue_after * 1000 + pool_after * 10000, now);
+  }
+
+ private:
+  void add(std::string hook, std::uint64_t arg, sim::SimTime now) {
+    log_.push_back(HookCall{side_, std::move(hook), arg, now});
+  }
+  char side_;
+  std::vector<HookCall>& log_;
+};
+
+// Every hook defaults to a no-op, so a tee that forgot to forward one would
+// fail silently. Drive each of the 13 hooks once and require both sides to
+// see all of them, in order, with their arguments.
+TEST(TeeObserver, ForwardsEveryHookToBothSidesInOrder) {
+  std::vector<HookCall> log;
+  RecordingObserver a{'a', log};
+  RecordingObserver b{'b', log};
+  verify::TeeObserver tee{a, b};
+  verify::InvariantObserver& obs = tee;
+
+  const net::Packet p = test_packet(21, 0);
+  of::PacketIn packet_in;
+  packet_in.xid = 77;
+  const of::OfMessage pi = packet_in;
+  obs.on_packet_injected(p, ms(1));
+  obs.on_packet_delivered(p, ms(2));
+  obs.on_packet_dropped(p, "egress-queue", ms(3));
+  obs.on_buffer_store(5, p, /*new_unit=*/true, /*flow_granularity=*/false, ms(4));
+  obs.on_buffer_release(6, p, ms(5));
+  obs.on_buffer_expire(7, p, ms(6));
+  obs.on_buffer_unit_retired(8, ms(7));
+  obs.on_packet_in_sent(9, p, 10, ms(8));
+  obs.on_pkt_in_dropped(11, 12, ms(9));
+  obs.on_control_message(true, pi, ms(10));
+  obs.on_channel_fault(false, pi, of::FaultKind::Duplicate, ms(11));
+  obs.on_mmu_admit(1, 2, 3, 4, 5, ms(12));
+  obs.on_mmu_release(6, 7, 8, 9, 1, ms(13));
+
+  const std::vector<std::pair<std::string, std::uint64_t>> expected = {
+      {"injected", 21},
+      {"delivered", 21},
+      {"dropped:egress-queue", 21},
+      {"store", 5 * 4 + 2},
+      {"release", 6},
+      {"expire", 7},
+      {"retired", 8},
+      {"pkt_in_sent", std::uint64_t{9} << 32 | 10},
+      {"pkt_in_dropped", std::uint64_t{11} << 32 | 12},
+      {"control:up", 77},
+      {"fault:down", 77 * 8 + static_cast<unsigned>(of::FaultKind::Duplicate)},
+      {"mmu_admit", 1 + 20 + 300 + 4000 + 50000},
+      {"mmu_release", 6 + 70 + 800 + 9000 + 10000},
+  };
+  ASSERT_EQ(expected.size(), 13u);
+  std::vector<HookCall> want;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    for (const char side : {'a', 'b'}) {
+      want.push_back(HookCall{side, expected[i].first, expected[i].second,
+                              ms(static_cast<long long>(i) + 1)});
+    }
+  }
+  ASSERT_EQ(log.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(log[i] == want[i]) << "call " << i << ": got " << log[i].side << ' '
+                                   << log[i].hook << ", want " << want[i].side << ' '
+                                   << want[i].hook;
+  }
+}
+
+TEST(TeeObserver, JoinTeesOnlyWhenBothSidesAreSet) {
+  std::vector<HookCall> log;
+  RecordingObserver a{'a', log};
+  RecordingObserver b{'b', log};
+  std::unique_ptr<verify::TeeObserver> tee;
+  EXPECT_EQ(verify::join(nullptr, nullptr, tee), nullptr);
+  EXPECT_EQ(verify::join(&a, nullptr, tee), &a);
+  EXPECT_EQ(verify::join(nullptr, &b, tee), &b);
+  EXPECT_EQ(tee, nullptr);
+  verify::InvariantObserver* both = verify::join(&a, &b, tee);
+  ASSERT_NE(tee, nullptr);
+  EXPECT_EQ(both, tee.get());
+  both->on_buffer_unit_retired(3, ms(1));
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].side, 'a');
+  EXPECT_EQ(log[1].side, 'b');
 }
 
 // End-to-end: a healthy experiment run under every mechanism produces a
