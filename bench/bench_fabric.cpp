@@ -107,11 +107,6 @@ int main(int argc, char** argv) {
   base.min_packets = 2;
   base.max_packets = 20;
   base.in_flow_rate_mbps = 20.0;
-  // --shards N runs every cell on the sharded engine (DESIGN.md §14); the
-  // delivered multisets match the sequential engine, and the determinism
-  // self-check below still holds at any fixed shard count.
-  base.fabric.shards = options.shards;
-  base.fabric.shard_threads = options.shard_threads;
 
   std::vector<core::FabricExperimentConfig> configs;
   std::vector<CellMeta> meta;

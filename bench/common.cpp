@@ -17,16 +17,14 @@ Options parse_options(int argc, char** argv) {
   const util::CliFlags flags(
       argc, argv,
       {"reps", "quick", "rates-coarse", "csv-dir", "seed", "quiet", "jobs", "prescreen",
-       "metrics-out", "trace-out", "trace-sample", "profile", "log-level", "shards",
-       "shard-threads"});
+       "metrics-out", "trace-out", "trace-sample", "profile", "log-level"});
   if (!flags.ok()) {
     std::cerr << flags.error() << "\n"
               << "usage: " << argv[0]
               << " [--reps N] [--quick] [--rates-coarse] [--csv-dir DIR] [--seed S] [--jobs N]\n"
               << "       [--prescreen] [--metrics-out F.json] [--trace-out F.json]\n"
               << "       [--trace-sample N] [--profile]"
-              << " [--log-level trace|debug|info|warn|error|off]\n"
-              << "       [--shards N] [--shard-threads N]  (fabric benches only)\n";
+              << " [--log-level trace|debug|info|warn|error|off]\n";
     std::exit(1);
   }
   Options options;
@@ -47,9 +45,6 @@ Options parse_options(int argc, char** argv) {
   options.trace_sample = static_cast<std::uint32_t>(flags.get_int("trace-sample", 16));
   if (options.trace_sample < 1) options.trace_sample = 1;
   options.profile = flags.get_bool("profile", false);
-  options.shards = static_cast<unsigned>(flags.get_int("shards", 0));
-  options.shard_threads = static_cast<unsigned>(flags.get_int("shard-threads", 1));
-  if (options.shard_threads < 1) options.shard_threads = 1;
   if (flags.has("log-level")) {
     const std::string name = flags.get_string("log-level", "warn");
     const auto level = util::log_level_from_name(name);

@@ -51,14 +51,6 @@ struct Options {
   std::uint32_t trace_sample = 16;  // 1 = trace every flow
   bool profile = false;           // print per-component event-loop profile
 
-  // Sharded event engine (DESIGN.md §14), honored by the fabric-scale
-  // benches (the single-switch chain benches ignore it). 0 = the legacy
-  // sequential engine; N >= 2 splits switches across N-1 shards plus a
-  // controller shard. Results at a fixed shard count are bit-identical for
-  // any --shard-threads value.
-  unsigned shards = 0;
-  unsigned shard_threads = 1;
-
   [[nodiscard]] bool observability_enabled() const {
     return !metrics_out.empty() || !trace_out.empty() || profile;
   }

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Golden-results check: regenerates every deterministic file under results/
 # into a temporary directory (never into results/ itself) and compares each
-# committed file with its regenerated copy byte for byte. results/shards.csv
-# is skipped because it records wall-clock times.
+# committed file with its regenerated copy byte for byte.
 #
 # The flags below are the ones each committed file was produced with:
 #   bench_fig2_control_path_load --quick --rates-coarse -> fig2a.csv, fig2b.csv
@@ -49,7 +48,6 @@ status=0
 checked=0
 for golden in "$SRC_DIR"/results/*; do
   name="$(basename "$golden")"
-  [ "$name" = shards.csv ] && continue
   if [ ! -f "$OUT/$name" ]; then
     echo "check_goldens: results/$name was not regenerated" >&2
     status=1

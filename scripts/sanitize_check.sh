@@ -6,9 +6,8 @@
 # clean exit means no memory error, no UB, and no invariant violation.
 #
 # A second build with ThreadSanitizer then runs the concurrency tests (the
-# thread pool, the parallel-sweep determinism contract, and the sharded
-# engine's threaded windows), gating the parallel machinery on data-race
-# freedom.
+# thread pool and the parallel-sweep determinism contract), gating the
+# parallel machinery on data-race freedom.
 #
 # Usage: scripts/sanitize_check.sh [build_dir] [fuzz_runs] [fuzz_seed]
 set -euo pipefail
@@ -54,11 +53,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L model
 # seeded flap schedules, exercising send-time loss, port_status handling,
 # route repair and the fate policies under the sanitizers.
 "$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED" --force-link-faults
-# Fifth pass with the sharded-engine cross-check forced on: every fabric
-# mechanism re-runs on the windowed sharded engine and is compared against
-# the sequential run, putting the mailbox drain and window machinery under
-# ASan/UBSan.
-"$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED" --force-shards
+# Fifth pass with every dimension forced at once: channel faults on every
+# control channel of a flapping fabric whose switches run the MMU and stamp
+# INT telemetry, so all the fault and observation planes compose under the
+# sanitizers.
+"$BUILD_DIR/tests/fuzz_scenarios" --runs "$FUZZ_RUNS" --seed "$FUZZ_SEED" --force-faults \
+  --force-fabric --force-link-faults --force-telemetry --force-mmu
 # Sixth pass with the telemetry plane forced on: every scenario attaches the
 # fabric observatory (INT stamping, deterministic sampling, fate ledger) and
 # cross-checks the drop-attribution ledger against the invariant registry's
@@ -95,18 +95,11 @@ TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSDNBUF_SANITIZE=thread
-cmake --build "$TSAN_DIR" -j"$(nproc)" --target test_thread_pool test_parallel_sweep test_sharded test_mmu
+cmake --build "$TSAN_DIR" -j"$(nproc)" --target test_thread_pool test_parallel_sweep
 
 export TSAN_OPTIONS="halt_on_error=1"
 "$TSAN_DIR/tests/test_thread_pool"
 "$TSAN_DIR/tests/test_parallel_sweep"
-# Sharded engine under TSan: the threaded window workers + barrier gates +
-# cross-shard mailboxes are the only other concurrent machinery in the tree,
-# and the determinism tests drive them at 1/2/4 worker threads.
-"$TSAN_DIR/tests/test_sharded"
-# MMU admission runs inside sharded windows, so its accounting gets a TSan
-# pass too.
-"$TSAN_DIR/tests/test_mmu"
 
 echo "sanitize_check: OK (8 x ${FUZZ_RUNS} scenarios x 3 modes, seed ${FUZZ_SEED}; 20 combined" \
   "telemetry at seed 8000; 20 forced-FIFO; goldens; TSan clean)"

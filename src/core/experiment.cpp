@@ -80,7 +80,6 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                    "run_experiment needs the one-switch, two-host rig (chain_fabric(1))");
   SDNBUF_CHECK_MSG(fc.routing == FabricRouting::L2Learning,
                    "run_experiment needs L2-learning routing");
-  SDNBUF_CHECK_MSG(fc.shards <= 1, "run_experiment runs on the sequential engine (shards <= 1)");
   SDNBUF_CHECK_MSG(fc.observers.empty() && fc.observatory == nullptr,
                    "set observer/observatory on ExperimentConfig, not on its testbed template");
   fc.seed = config.seed;

@@ -28,21 +28,6 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   fc.observatory = config.observatory;
 
   FabricTestbed bed(fc);
-  const bool sharded = bed.n_shards() > 1;
-  // Closed-loop retransmission state is shared mutable state on every host;
-  // it has no shard-safe formulation yet, so it stays on the sequential
-  // engine.
-  SDNBUF_CHECK_MSG(!(sharded && config.closed_loop),
-                   "closed-loop mode requires the sequential engine (shards <= 1)");
-  if (sharded && (!config.observers.empty() || config.metrics != nullptr ||
-                  config.observatory != nullptr ||
-                  config.delivery_bin > sim::SimTime::zero())) {
-    // Observers span shard boundaries (cross-switch handoffs touch two
-    // registries) and metrics/delivery bins/the observatory write shared
-    // aggregates. Keep the sharded schedule — windows and results are
-    // bit-identical either way — but execute its windows on one thread.
-    bed.engine().set_threads(1);
-  }
   // Topology routing needs no learning warm-up; the measurement window opens
   // immediately.
   bed.reset_statistics();
@@ -61,12 +46,9 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   const sim::SimTime bins_t0 = bed.sim().now();
   if (config.closed_loop || bin > sim::SimTime::zero()) {
     for (unsigned h = 0; h < bed.n_hosts(); ++h) {
-      // The callback fires on the host's shard; bin by that shard's clock
-      // (shard 0's clock can lag mid-window under the sharded engine).
-      sim::Simulator* hsim = &bed.engine().shard(bed.shard_of_host(h));
-      bed.sink_at(h).set_on_receive([&, hsim, bin, bins_t0](const net::Packet& p) {
+      bed.sink_at(h).set_on_receive([&, bin, bins_t0](const net::Packet& p) {
         if (bin > sim::SimTime::zero()) {
-          const auto idx = static_cast<std::size_t>((hsim->now() - bins_t0).ns() / bin.ns());
+          const auto idx = static_cast<std::size_t>((bed.sim().now() - bins_t0).ns() / bin.ns());
           if (idx >= delivered_per_bin.size()) delivered_per_bin.resize(idx + 1, 0);
           ++delivered_per_bin[idx];
         }
@@ -101,36 +83,15 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   tm.in_flow_rate_mbps = config.in_flow_rate_mbps;
   tm.frame_size = config.frame_size;
 
-  std::optional<host::TrafficMatrixWorkload> gen;
-  std::uint64_t flows_started = 0;
-  std::uint64_t packets_pregenerated = 0;
-  if (sharded) {
-    // The workload chain never reads network state, so unroll it on a
-    // scratch simulator (identical draws, identical packets and timestamps)
-    // and schedule every emission directly on its source host's shard.
-    host::PregeneratedTraffic pre =
-        host::pregenerate_traffic_matrix(tm, config.seed * 7919u + 3);
-    flows_started = pre.flows_started;
-    packets_pregenerated = pre.emissions.size();
-    const sim::SimTime start = bed.engine().now();
-    for (host::PregeneratedEmission& e : pre.emissions) {
-      const unsigned src = e.src_host;
-      bed.engine()
-          .shard(bed.shard_of_host(src))
-          .schedule_at(start + e.when,
-                       [&bed, src, p = e.packet]() { bed.inject_from_host(src, p); });
-    }
-  } else {
-    gen.emplace(bed.sim(), tm, config.seed * 7919u + 3,
-                [&bed, &sender](unsigned src, const net::Packet& p) {
-                  if (sender) {
-                    sender->offer(src, p);
-                  } else {
-                    bed.inject_from_host(src, p);
-                  }
-                });
-    gen->start();
-  }
+  host::TrafficMatrixWorkload gen{bed.sim(), tm, config.seed * 7919u + 3,
+                                 [&bed, &sender](unsigned src, const net::Packet& p) {
+                                   if (sender) {
+                                     sender->offer(src, p);
+                                   } else {
+                                     bed.inject_from_host(src, p);
+                                   }
+                                 }};
+  gen.start();
 
   // Arrivals end at the horizon; the longest flow can keep pacing packets for
   // max_packets gaps after that. Only once emission is provably over does
@@ -143,47 +104,30 @@ FabricExperimentResult run_fabric_experiment(const FabricExperimentConfig& confi
   const sim::SimTime deadline = emission_done + config.drain_timeout;
 
   const sim::SimTime slice = sim::SimTime::milliseconds(20);
-  const auto emitted = [&]() { return gen ? gen->packets_emitted() : packets_pregenerated; };
-  const auto now = [&]() { return sharded ? bed.engine().now() : bed.sim().now(); };
-  const auto advance = [&](sim::SimTime t) {
-    if (sharded) {
-      bed.engine().run_until(t);
-    } else {
-      bed.sim().run_until(t);
-    }
-  };
   const auto work_remains = [&]() {
     if (sender) return sender->outstanding() > 0;
-    return bed.total_delivered() < emitted();
+    return bed.total_delivered() < gen.packets_emitted();
   };
-  while (now() < deadline && (now() < emission_done || work_remains())) {
-    advance(std::min(now() + slice, deadline));
+  while (bed.sim().now() < deadline && (bed.sim().now() < emission_done || work_remains())) {
+    bed.sim().run_until(std::min(bed.sim().now() + slice, deadline));
   }
   // Let in-flight control traffic settle, then stop housekeeping and drain.
-  advance(now() + sim::SimTime::milliseconds(50));
+  bed.sim().run_until(bed.sim().now() + sim::SimTime::milliseconds(50));
   if (snapshotter) snapshotter->stop();
   if (sender) sender->stop();
   bed.stop();
-  if (sharded) {
-    bed.engine().run();
-  } else {
-    bed.sim().run();
-  }
+  bed.sim().run();
   if (config.metrics != nullptr) {
     config.metrics->take_snapshot(bed.sim().now());  // final row, post-drain
-    config.metrics->clear_polls();                   // testbed dies with this frame
+    config.metrics->clear_polls();  // testbed dies with this frame
   }
 
   const sim::SimTime t0 = bed.measurement_start();
   const sim::SimTime t1 = bed.sim().now();
 
-  if (gen) {
-    flows_started = gen->flows_started();
-  }
-
   FabricExperimentResult r;
-  r.flows = flows_started;
-  r.packets_sent = emitted();
+  r.flows = gen.flows_started();
+  r.packets_sent = gen.packets_emitted();
   r.packets_delivered = bed.total_delivered();
   r.duplicates = bed.total_duplicates();
   r.pkt_ins = bed.total_pkt_ins();

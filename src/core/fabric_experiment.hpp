@@ -54,9 +54,7 @@ struct FabricExperimentConfig {
   obs::MetricsRegistry* metrics = nullptr;
   sim::SimTime metrics_interval = sim::SimTime::milliseconds(10);
 
-  // Optional telemetry observatory (forwarded into FabricConfig). Sharded
-  // runs with an observatory fall back to one worker thread — the ledger and
-  // heatmap are shared aggregates.
+  // Optional telemetry observatory (forwarded into FabricConfig).
   obs::FabricObservatory* observatory = nullptr;
 
   // --- data-plane fault plane (all inert by default) ---

@@ -24,9 +24,7 @@ FabricConfig chain_fabric(unsigned n_switches) {
 }
 
 FabricTestbed::FabricTestbed(const FabricConfig& config)
-    : engine_(std::max(1u, config.shards)),
-      sim_(engine_.shard(0)),
-      topo_(config.topology),
+    : topo_(config.topology),
       routing_(config.routing),
       observatory_(config.observatory),
       pending_faults_(config.fault_profile),
@@ -34,30 +32,9 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
   topo_.validate();
   SDNBUF_CHECK_MSG(config.observers.empty() || config.observers.size() == topo_.n_switches(),
                    "observers must be empty or one per switch");
-  SDNBUF_CHECK_MSG(!(pending_faults_.any() && engine_.n_shards() > 1),
-                   "control-channel faults require the sequential engine (shards <= 1)");
-
-  // Shard assignment: the controller (plus its channel endpoints) owns shard
-  // 0; switches round-robin over the remaining shards; each host lives with
-  // its edge switch so access links never cross a shard boundary. With one
-  // shard everything lands on shard 0 and the engine delegates straight to
-  // the sequential Simulator.
-  const unsigned n_shards = engine_.n_shards();
-  switch_shard_.resize(topo_.n_switches(), 0);
-  if (n_shards > 1) {
-    for (unsigned i = 0; i < topo_.n_switches(); ++i) {
-      switch_shard_[i] = 1 + (i % (n_shards - 1));
-    }
-  }
-  host_shard_.resize(topo_.n_hosts(), 0);
-  for (unsigned h = 0; h < topo_.n_hosts(); ++h) {
-    const topo::NodeId host = topo_.host_id(h);
-    host_shard_[h] = switch_shard_[topo_.index_of(topo_.attachment(host).peer)];
-  }
-  shard_deliveries_.resize(n_shards);
 
   for (unsigned h = 0; h < topo_.n_hosts(); ++h) {
-    sinks_.push_back(std::make_unique<host::HostSink>(shard_sim(host_shard_[h])));
+    sinks_.push_back(std::make_unique<host::HostSink>(sim_));
   }
 
   // Construction order mirrors the original hand-wired chain exactly —
@@ -68,65 +45,27 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
                                                    config.seed * 40503u + 1);
   router_ = std::make_unique<topo::Router>(topo_, config.seed * 0xda942042e4dd58b5ULL + 7);
 
-  // The engine's lookahead is the minimum propagation delay over links that
-  // actually cross shards: any frame posted to another shard arrives at
-  // least that far in the future, which is exactly the slack the
-  // conservative window synchronization needs.
-  sim::SimTime min_crossing_delay = sim::SimTime::max();
-  const auto node_shard = [this](topo::NodeId node) {
-    return topo_.is_host(node) ? host_shard_[topo_.index_of(node)]
-                               : switch_shard_[topo_.index_of(node)];
-  };
-
   for (std::size_t i = 0; i < topo_.n_links(); ++i) {
     const topo::Topology::Link& link = topo_.links()[i];
     const double mbps = link.host_edge ? config.host_link_mbps : config.inter_switch_mbps;
-    const unsigned a_shard = node_shard(link.a);
-    const unsigned b_shard = node_shard(link.b);
-    if (a_shard == b_shard) {
-      data_links_.push_back(std::make_unique<net::DuplexLink>(
-          shard_sim(a_shard), "data" + std::to_string(i), mbps * 1e6, config.link_delay));
-    } else {
-      data_links_.push_back(std::make_unique<net::DuplexLink>(
-          shard_sim(a_shard), shard_sim(b_shard), "data" + std::to_string(i), mbps * 1e6,
-          config.link_delay));
-      data_links_.back()->set_shard_crossing(&engine_, a_shard, b_shard);
-      min_crossing_delay = std::min(min_crossing_delay, config.link_delay);
-    }
+    data_links_.push_back(std::make_unique<net::DuplexLink>(sim_, "data" + std::to_string(i),
+                                                            mbps * 1e6, config.link_delay));
   }
 
   for (unsigned i = 0; i < topo_.n_switches(); ++i) {
-    const unsigned shard = switch_shard_[i];
-    sim::Simulator& ssim = shard_sim(shard);
     sw::SwitchConfig sw_config = config.switch_config;
     sw_config.name = topo_.name(topo_.switch_id(i));
     sw_config.datapath_id = i + 1;
     switches_.push_back(
-        std::make_unique<sw::Switch>(ssim, sw_config, config.seed * 2654435761u + i));
-    if (shard == 0) {
-      control_links_.push_back(std::make_unique<net::DuplexLink>(
-          sim_, "ctl" + std::to_string(i + 1), config.control_link_mbps * 1e6,
-          config.control_link_delay));
-    } else {
-      // forward() carries switch -> controller traffic, so its transmitter
-      // is the switch's shard; reverse() transmits from the controller.
-      control_links_.push_back(std::make_unique<net::DuplexLink>(
-          ssim, sim_, "ctl" + std::to_string(i + 1), config.control_link_mbps * 1e6,
-          config.control_link_delay));
-      control_links_.back()->set_shard_crossing(&engine_, shard, 0);
-      min_crossing_delay = std::min(min_crossing_delay, config.control_link_delay);
-    }
-    channels_.push_back(std::make_unique<of::Channel>(ssim, control_links_[i]->forward(),
+        std::make_unique<sw::Switch>(sim_, sw_config, config.seed * 2654435761u + i));
+    control_links_.push_back(std::make_unique<net::DuplexLink>(
+        sim_, "ctl" + std::to_string(i + 1), config.control_link_mbps * 1e6,
+        config.control_link_delay));
+    channels_.push_back(std::make_unique<of::Channel>(sim_, control_links_[i]->forward(),
                                                       control_links_[i]->reverse()));
-    if (shard != 0) channels_[i]->set_shard_sims(ssim, sim_);
     switches_[i]->connect(*channels_[i]);
     controller_->connect(*channels_[i], i + 1);
   }
-
-  if (min_crossing_delay != sim::SimTime::max()) {
-    engine_.set_lookahead(min_crossing_delay);
-  }
-  engine_.set_threads(config.shard_threads);
 
   wire_observers(config);
   wire_ports();
@@ -202,13 +141,10 @@ void FabricTestbed::arm_link_faults(const std::vector<LinkFaultSpec>& faults) {
       if (topo_.is_host(end)) continue;
       const unsigned si = topo_.index_of(end);
       const std::uint16_t port = end == link.a ? link.a_port : link.b_port;
-      // Port flips execute on the owning switch's shard: each endpoint of a
-      // crossing link reacts on its own event queue.
-      sim::Simulator& ssim = shard_sim(switch_shard_[si]);
       for (const net::OutageWindow& w : schedule->windows()) {
-        ssim.schedule_at(w.start,
+        sim_.schedule_at(w.start,
                          [this, si, port]() { switches_[si]->set_port_state(port, false); });
-        ssim.schedule_at(w.end, [this, si, port]() { switches_[si]->set_port_state(port, true); });
+        sim_.schedule_at(w.end, [this, si, port]() { switches_[si]->set_port_state(port, true); });
       }
     }
     fault_schedules_.push_back(std::move(schedule));
@@ -233,9 +169,8 @@ void FabricTestbed::arm_switch_crashes(const std::vector<SwitchCrashSpec>& crash
     SDNBUF_CHECK_MSG(spec.switch_index < n_switches(), "crash switch index out of range");
     SDNBUF_CHECK_MSG(spec.restart_at > spec.crash_at, "restart must follow the crash");
     const unsigned si = spec.switch_index;
-    sim::Simulator& ssim = shard_sim(switch_shard_[si]);
-    ssim.schedule_at(spec.crash_at, [this, si]() { switches_[si]->crash(); });
-    ssim.schedule_at(spec.restart_at, [this, si]() { switches_[si]->restart(); });
+    sim_.schedule_at(spec.crash_at, [this, si]() { switches_[si]->crash(); });
+    sim_.schedule_at(spec.restart_at, [this, si]() { switches_[si]->restart(); });
     if (spec.restart_at > last_fault_clear_) last_fault_clear_ = spec.restart_at;
   }
 }
@@ -259,36 +194,24 @@ void FabricTestbed::wire_ports() {
       net::Link& egress =
           topo_.links()[adj.link].a == sw_node ? link.forward() : link.reverse();
       if (topo_.is_host(adj.peer)) {
-        // Host delivery runs on this switch's shard (hosts share their edge
-        // switch's shard), so the shard-local delivery slot and the shard
-        // clock are the right ones to touch.
         const unsigned hi = topo_.index_of(adj.peer);
-        const unsigned shard = switch_shard_[si];
-        sim::Simulator* ssim = &shard_sim(shard);
-        ShardDeliveries* slot = &shard_deliveries_[shard];
-        switches_[si]->attach_port(adj.port, egress,
-                                   [this, si, hi, ssim, slot](const net::Packet& p) {
-          if (chain_[si] != nullptr) {
-            chain_[si]->on_packet_delivered(p, ssim->now());
-          }
+        switches_[si]->attach_port(adj.port, egress, [this, si, hi](const net::Packet& p) {
+          if (chain_[si] != nullptr) chain_[si]->on_packet_delivered(p, sim_.now());
           if (p.flow_id != metrics::kUntrackedFlow) {
-            slot->delivered.emplace_back(p.flow_id, p.seq_in_flow);
-            if (p.seq_in_flow == 0) slot->first_packet_ms.add((ssim->now() - p.created_at).ms());
+            delivered_.emplace_back(p.flow_id, p.seq_in_flow);
+            if (p.seq_in_flow == 0) first_packet_ms_.add((sim_.now() - p.created_at).ms());
           }
           sinks_[hi]->receive(p);
         });
       } else {
         const unsigned pi = topo_.index_of(adj.peer);
         const std::uint16_t peer_port = adj.peer_port;
-        // The handoff closure executes on the *receiving* switch's shard.
-        sim::Simulator* psim = &shard_sim(switch_shard_[pi]);
-        switches_[si]->attach_port(adj.port, egress,
-                                   [this, si, pi, peer_port, psim](net::Packet&& p) {
+        switches_[si]->attach_port(adj.port, egress, [this, si, pi, peer_port](net::Packet&& p) {
           // Cross-switch handoff: the sender's registry closes its account,
           // the receiver's opens one (the observatory's fate adapters ignore
           // both — its ledger is endpoint-to-endpoint).
-          if (chain_[si] != nullptr) chain_[si]->on_packet_delivered(p, psim->now());
-          if (chain_[pi] != nullptr) chain_[pi]->on_packet_injected(p, psim->now());
+          if (chain_[si] != nullptr) chain_[si]->on_packet_delivered(p, sim_.now());
+          if (chain_[pi] != nullptr) chain_[pi]->on_packet_injected(p, sim_.now());
           switches_[pi]->receive(peer_port, std::move(p));
         });
       }
@@ -302,12 +225,9 @@ void FabricTestbed::inject_from_host(unsigned host_index, const net::Packet& pac
   net::DuplexLink& link = *data_links_[att.link];
   net::Link& uplink = topo_.links()[att.link].a == host ? link.forward() : link.reverse();
   const unsigned si = topo_.index_of(att.peer);
-  // Injection happens on the host's shard clock (== its edge switch's); a
-  // sharded driver must call this from an event on that shard.
-  sim::Simulator& hsim = shard_sim(host_shard_[host_index]);
-  if (observatory_ != nullptr) observatory_->on_injected(packet, hsim.now());
+  if (observatory_ != nullptr) observatory_->on_injected(packet, sim_.now());
   if (chain_[si] != nullptr) {
-    chain_[si]->on_packet_injected(packet, hsim.now());
+    chain_[si]->on_packet_injected(packet, sim_.now());
   }
   const std::uint16_t in_port = att.peer_port;
   const auto sent = uplink.send_frame(
@@ -318,7 +238,7 @@ void FabricTestbed::inject_from_host(unsigned host_index, const net::Packet& pac
     if (chain_[si] != nullptr) {
       chain_[si]->on_packet_dropped(
           packet, sent == net::Link::SendResult::FaultDrop ? "link-down" : "link-queue",
-          hsim.now());
+          sim_.now());
     }
   }
 }
@@ -426,20 +346,9 @@ std::uint64_t FabricTestbed::mmu_peak_pool_cells_sum() const {
 }
 
 std::vector<verify::PayloadId> FabricTestbed::delivered_payloads() const {
-  std::vector<verify::PayloadId> sorted;
-  for (const ShardDeliveries& slot : shard_deliveries_) {
-    sorted.insert(sorted.end(), slot.delivered.begin(), slot.delivered.end());
-  }
+  std::vector<verify::PayloadId> sorted = delivered_;
   std::sort(sorted.begin(), sorted.end());
   return sorted;
-}
-
-util::Samples FabricTestbed::first_packet_ms() const {
-  util::Samples merged;
-  for (const ShardDeliveries& slot : shard_deliveries_) {
-    for (const double v : slot.first_packet_ms.values()) merged.add(v);
-  }
-  return merged;
 }
 
 void FabricTestbed::install_component_histograms(obs::MetricsRegistry& registry) {
@@ -557,7 +466,8 @@ void FabricTestbed::reset_statistics() {
   if (controller_->flow_monitor() != nullptr) controller_->flow_monitor()->reset();
   if (observatory_ != nullptr) observatory_->reset();
   for (auto& s : sinks_) s->reset();
-  for (auto& slot : shard_deliveries_) slot = ShardDeliveries{};
+  delivered_.clear();
+  first_packet_ms_ = util::Samples{};
   measurement_start_ = sim_.now();
   if (pending_faults_.any()) arm_channel_faults();
 }

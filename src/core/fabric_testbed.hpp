@@ -34,7 +34,6 @@
 #include "obs/fabric_observatory.hpp"
 #include "obs/metrics.hpp"
 #include "openflow/channel.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "switchd/switch.hpp"
 #include "topo/routing.hpp"
@@ -89,17 +88,6 @@ struct FabricConfig {
   double control_link_mbps = 1000.0;
   sim::SimTime control_link_delay = sim::SimTime::microseconds(300);
   std::uint64_t seed = 1;
-  // Shard count for the parallel engine. 0 or 1 builds the fabric on a single
-  // event queue (the legacy sequential Simulator — byte-identical to builds
-  // that predate sharding). With n >= 2 shards, shard 0 holds the controller
-  // and every switch lands on shard 1 + (i % (n-1)); hosts live with their
-  // edge switch so access links never cross shards. Determinism contract:
-  // results at a fixed shard count are bit-identical across repeats and
-  // thread counts; different shard counts agree on the delivered multiset.
-  unsigned shards = 0;
-  // Worker threads for the sharded engine (ignored when shards <= 1). Any
-  // value yields bit-identical results; > 1 adds wall-clock parallelism.
-  unsigned shard_threads = 1;
   // Per-switch invariant observers: empty (no checking) or exactly one entry
   // per switch, indexed by switch index. Owned by the caller.
   std::vector<verify::InvariantObserver*> observers;
@@ -109,17 +97,14 @@ struct FabricConfig {
   std::vector<LinkFaultSpec> link_faults;
   std::vector<SwitchCrashSpec> switch_crashes;
   // In-fabric telemetry plane (DESIGN.md §15): drop-attribution ledger + INT
-  // harvest. Owned by the caller; null = off. The observatory is a single
-  // shared aggregate, so sharded runs with an observatory must execute on
-  // one thread (run_fabric_experiment enforces this). Per-switch INT and
-  // sampling knobs live in switch_config.
+  // harvest. Owned by the caller; null = off. Per-switch INT and sampling
+  // knobs live in switch_config.
   obs::FabricObservatory* observatory = nullptr;
   // Control-channel fault injection, armed on every channel when the
   // measurement window opens (the first reset_statistics(), which warm_up()
   // calls), so handshake and learning always run over clean channels.
   // Outage windows are relative to that instant. Channel i draws from its
-  // own stream, seeded seed * 0x9e3779b97f4a7c15 + 0xfa017 + i. Requires
-  // shards <= 1: a channel's draws serve both of its directions.
+  // own stream, seeded seed * 0x9e3779b97f4a7c15 + 0xfa017 + i.
   of::FaultProfile fault_profile;
 };
 
@@ -156,14 +141,8 @@ class FabricTestbed {
   // measurement window. Requires L2 learning and exactly two hosts.
   void warm_up();
 
-  // Shard 0's simulator: the only event queue when shards <= 1, and the
-  // controller's shard otherwise. Sequential-era call sites keep working;
-  // sharded drivers advance time through engine() instead.
+  // The fabric's one event queue.
   [[nodiscard]] sim::Simulator& sim() { return sim_; }
-  [[nodiscard]] sim::ShardedSimulator& engine() { return engine_; }
-  [[nodiscard]] unsigned n_shards() const { return engine_.n_shards(); }
-  [[nodiscard]] unsigned shard_of_switch(unsigned index) const { return switch_shard_.at(index); }
-  [[nodiscard]] unsigned shard_of_host(unsigned index) const { return host_shard_.at(index); }
   [[nodiscard]] const topo::Topology& topology() const { return topo_; }
   [[nodiscard]] const topo::Router& router() const { return *router_; }
   [[nodiscard]] FabricRouting routing() const { return routing_; }
@@ -207,9 +186,8 @@ class FabricTestbed {
   // input.
   [[nodiscard]] std::vector<verify::PayloadId> delivered_payloads() const;
   // Injection-to-delivery latency of each flow's first packet (ms): the
-  // fabric-scale flow setup delay measure. Per-shard sample sets merged in
-  // shard order (deterministic at a fixed shard count).
-  [[nodiscard]] util::Samples first_packet_ms() const;
+  // fabric-scale flow setup delay measure.
+  [[nodiscard]] const util::Samples& first_packet_ms() const { return first_packet_ms_; }
 
   [[nodiscard]] sim::SimTime measurement_start() const { return measurement_start_; }
 
@@ -239,21 +217,9 @@ class FabricTestbed {
   void arm_link_faults(const std::vector<LinkFaultSpec>& faults);
   void arm_switch_crashes(const std::vector<SwitchCrashSpec>& crashes);
   void arm_channel_faults();
-  [[nodiscard]] sim::Simulator& shard_sim(unsigned shard) { return engine_.shard(shard); }
 
-  // Delivery records are written by host-delivery closures, which run on the
-  // delivering edge switch's shard — so each shard writes only its own slot
-  // and the merge order is fixed by shard index, not thread interleaving.
-  struct ShardDeliveries {
-    std::vector<verify::PayloadId> delivered;
-    util::Samples first_packet_ms;
-  };
-
-  sim::ShardedSimulator engine_;
-  sim::Simulator& sim_;  // shard 0
+  sim::Simulator sim_;
   topo::Topology topo_;
-  std::vector<unsigned> switch_shard_;  // shard index per switch
-  std::vector<unsigned> host_shard_;    // shard index per host (= edge switch's)
   FabricRouting routing_;
   std::vector<std::unique_ptr<host::HostSink>> sinks_;
   std::unique_ptr<ctrl::Controller> controller_;
@@ -274,7 +240,9 @@ class FabricTestbed {
   sim::SimTime last_fault_clear_;
   of::FaultProfile pending_faults_;  // armed, then cleared, by the first window
   std::uint64_t seed_;
-  std::vector<ShardDeliveries> shard_deliveries_;  // one slot per shard
+  // Host deliveries of tracked flows since the measurement window opened.
+  std::vector<verify::PayloadId> delivered_;
+  util::Samples first_packet_ms_;
   sim::SimTime measurement_start_;
 };
 

@@ -14,22 +14,6 @@ const char* traffic_pattern_name(TrafficPattern pattern) {
   return "unknown";
 }
 
-PregeneratedTraffic pregenerate_traffic_matrix(const TrafficMatrixConfig& config,
-                                               std::uint64_t rng_seed) {
-  sim::Simulator scratch;
-  PregeneratedTraffic out;
-  TrafficMatrixWorkload gen{scratch, config, rng_seed,
-                            [&out, &scratch](unsigned src, const net::Packet& p) {
-                              out.emissions.push_back(
-                                  PregeneratedEmission{scratch.now(), src, p});
-                            }};
-  gen.start();
-  scratch.run();
-  out.flows_started = gen.flows_started();
-  out.flow_sizes = gen.flow_sizes();
-  return out;
-}
-
 TrafficMatrixWorkload::TrafficMatrixWorkload(sim::Simulator& sim, TrafficMatrixConfig config,
                                              std::uint64_t rng_seed, EmitFn emit)
     : sim_(sim), config_(std::move(config)), rng_(rng_seed), emit_(std::move(emit)) {

@@ -64,28 +64,6 @@ struct TrafficMatrixConfig {
   std::uint64_t flow_id_base = 0;
 };
 
-// One packet emission replayed from a pregenerated schedule.
-struct PregeneratedEmission {
-  sim::SimTime when;  // emission time, relative to the workload start
-  unsigned src_host = 0;
-  net::Packet packet;
-};
-
-// A whole traffic matrix unrolled ahead of time. The workload's event chain
-// is self-contained (arrivals schedule arrivals, emissions schedule
-// emissions; nothing in the network feeds back into it), so replaying it on
-// a scratch simulator reproduces the exact draw sequence — and therefore the
-// exact packets and timestamps — of an inline run. Sharded fabric drivers
-// use this to schedule each emission directly on its source host's shard.
-struct PregeneratedTraffic {
-  std::vector<PregeneratedEmission> emissions;  // in emission-time order
-  std::uint64_t flows_started = 0;
-  util::Samples flow_sizes;
-};
-
-[[nodiscard]] PregeneratedTraffic pregenerate_traffic_matrix(const TrafficMatrixConfig& config,
-                                                             std::uint64_t rng_seed);
-
 class TrafficMatrixWorkload {
  public:
   // Called for every emitted packet with the sending host's index.

@@ -48,13 +48,12 @@ Link::SendResult Link::send_frame(std::uint64_t bytes, sim::EventFn on_delivered
   });
   // Wrapping the callback in a profile tag costs a heap allocation (an
   // EventFn nested inside an EventFn overflows the small buffer), so the
-  // per-link attribution wrapper only exists when the receiving simulator
-  // actually has a profile sink; otherwise the callback schedules as-is,
+  // per-link attribution wrapper only exists when the simulator actually
+  // has a profile sink; otherwise the callback schedules as-is,
   // allocation-free. The tag reads name_ at delivery time; the link
   // outlives every in-flight frame and the name is immutable after setup.
-  sim::Simulator& receiver = engine_ == nullptr ? sim_ : engine_->shard(to_shard_);
   sim::EventFn event;
-  if (receiver.profile_sink() != nullptr) {
+  if (sim_.profile_sink() != nullptr) {
     event = [this, on_delivered = std::move(on_delivered)]() mutable {
       sim::ScopedProfileTag tag{name_.c_str()};
       if (on_delivered) on_delivered();
@@ -64,11 +63,7 @@ Link::SendResult Link::send_frame(std::uint64_t bytes, sim::EventFn on_delivered
   } else {
     event = []() {};  // keep the delivery event so the sequence is unchanged
   }
-  if (engine_ == nullptr) {
-    sim_.schedule_at(arrival, std::move(event));
-  } else {
-    engine_->post(from_shard_, to_shard_, arrival, std::move(event));
-  }
+  sim_.schedule_at(arrival, std::move(event));
   return SendResult::Sent;
 }
 

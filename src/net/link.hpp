@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "net/link_fault.hpp"
-#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -74,18 +73,6 @@ class Link {
   // whether a lost frame died to the fault plane or to queue exhaustion.
   SendResult send_frame(std::uint64_t bytes, sim::EventFn on_delivered);
 
-  // Marks this link as a shard-crossing edge: the transmitter lives on
-  // shard `from` of `engine` (whose Simulator must be this link's `sim`),
-  // the receiver on shard `to`. Deliveries then travel through the engine's
-  // mailboxes instead of the local event queue; serialization, backlog and
-  // tap accounting stay on the transmitter's shard.
-  void set_shard_crossing(sim::ShardedSimulator* engine, unsigned from, unsigned to) {
-    engine_ = engine;
-    from_shard_ = from;
-    to_shard_ = to;
-  }
-  [[nodiscard]] bool shard_crossing() const { return engine_ != nullptr; }
-
   // Attaches a fault schedule (owned by the caller, may be null). The
   // zero-schedule path is byte-identical to a link without one.
   void set_fault_schedule(const LinkFaultSchedule* faults) { faults_ = faults; }
@@ -120,9 +107,6 @@ class Link {
   std::uint64_t drops_ = 0;
   std::uint64_t fault_drops_ = 0;
   const LinkFaultSchedule* faults_ = nullptr;
-  sim::ShardedSimulator* engine_ = nullptr;
-  unsigned from_shard_ = 0;
-  unsigned to_shard_ = 0;
   ByteTap tap_;
 };
 
@@ -133,20 +117,6 @@ class DuplexLink {
              sim::SimTime propagation_delay)
       : forward_(sim, name + ":fwd", bandwidth_bps, propagation_delay),
         reverse_(sim, name + ":rev", bandwidth_bps, propagation_delay) {}
-
-  // Shard-crossing duplex link: each half schedules on its transmitter's
-  // shard simulator. Call set_shard_crossing to route deliveries.
-  DuplexLink(sim::Simulator& forward_sim, sim::Simulator& reverse_sim, const std::string& name,
-             double bandwidth_bps, sim::SimTime propagation_delay)
-      : forward_(forward_sim, name + ":fwd", bandwidth_bps, propagation_delay),
-        reverse_(reverse_sim, name + ":rev", bandwidth_bps, propagation_delay) {}
-
-  // Declares the duplex pair a shard-crossing edge: forward() transmits from
-  // shard `a` to shard `b`, reverse() the other way.
-  void set_shard_crossing(sim::ShardedSimulator* engine, unsigned a, unsigned b) {
-    forward_.set_shard_crossing(engine, a, b);
-    reverse_.set_shard_crossing(engine, b, a);
-  }
 
   [[nodiscard]] Link& forward() { return forward_; }
   [[nodiscard]] Link& reverse() { return reverse_; }

@@ -23,8 +23,8 @@ namespace sdnbuf::net {
 
 // One INT-style per-hop telemetry record, appended by a switch at egress
 // when its SwitchConfig::telemetry_int_depth is non-zero. The stack rides
-// the packet's simulator metadata (not the wire), so it crosses shard
-// boundaries by value with the packet — no shared mutable state.
+// the packet's simulator metadata (not the wire), so it travels by value
+// with the packet — no shared mutable state.
 struct HopStamp {
   std::uint64_t switch_id = 0;      // datapath id of the stamping switch
   std::uint16_t in_port = 0;        // ingress port the packet arrived on

@@ -52,18 +52,6 @@ void EventLoopProfiler::write_report(std::ostream& out, std::size_t top_n) const
   }
 }
 
-void EventLoopProfiler::merge_from(const EventLoopProfiler& other) {
-  for (const auto& [tag, src] : other.rows_) {
-    Row& row = rows_[tag];
-    if (row.tag.empty()) row.tag = tag;
-    row.events += src.events;
-    row.total_s += src.total_s;
-    if (src.max_s > row.max_s) row.max_s = src.max_s;
-  }
-  total_events_ += other.total_events_;
-  total_s_ += other.total_s_;
-}
-
 void EventLoopProfiler::reset() {
   by_ptr_.clear();
   rows_.clear();

@@ -39,11 +39,6 @@ class EventLoopProfiler final : public sim::ProfileSink {
   // Human-readable top-N table (share%, events, total, mean, max per tag).
   void write_report(std::ostream& out, std::size_t top_n = 10) const;
 
-  // Folds another profiler's rows into this one (tags merge by content).
-  // Sharded runs keep one profiler per shard — a sink shared across shards
-  // would race under worker threads — and merge them after the run.
-  void merge_from(const EventLoopProfiler& other);
-
   void reset();
 
  private:

@@ -41,8 +41,6 @@ void MessageCounters::reset() {
 
 Channel::Channel(sim::Simulator& sim, net::Link& to_controller, net::Link& to_switch)
     : sim_(sim),
-      switch_sim_(&sim),
-      controller_sim_(&sim),
       to_controller_(to_controller),
       to_switch_(to_switch) {}
 
@@ -60,20 +58,18 @@ void Channel::set_fault_profile(FaultProfile profile, std::uint64_t seed) {
   deliver_floor_[0] = deliver_floor_[1] = sim::SimTime::zero();
 }
 
-std::vector<std::uint8_t> Channel::acquire_buffer(bool controller_side) {
-  auto& pool = buffer_pools_[controller_side ? 1 : 0];
-  if (pool.empty()) return {};
-  std::vector<std::uint8_t> buffer = std::move(pool.back());
-  pool.pop_back();
+std::vector<std::uint8_t> Channel::acquire_buffer() {
+  if (buffer_pool_.empty()) return {};
+  std::vector<std::uint8_t> buffer = std::move(buffer_pool_.back());
+  buffer_pool_.pop_back();
   return buffer;
 }
 
-void Channel::release_buffer(bool controller_side, std::vector<std::uint8_t>&& buffer) {
+void Channel::release_buffer(std::vector<std::uint8_t>&& buffer) {
   static constexpr std::size_t kMaxPooledBuffers = 64;
-  auto& pool = buffer_pools_[controller_side ? 1 : 0];
-  if (pool.size() >= kMaxPooledBuffers) return;  // let it free
+  if (buffer_pool_.size() >= kMaxPooledBuffers) return;  // let it free
   buffer.clear();
-  pool.push_back(std::move(buffer));
+  buffer_pool_.push_back(std::move(buffer));
 }
 
 void Channel::transmit(net::Link& link, Handler& handler, std::vector<std::uint8_t> wire,
@@ -84,10 +80,10 @@ void Channel::transmit(net::Link& link, Handler& handler, std::vector<std::uint8
     auto& lost =
         to_controller ? fault_counters_.lost_to_controller : fault_counters_.lost_to_switch;
     ++lost;
-    if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Loss, sender_sim(to_controller).now());
+    if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Loss, sim_.now());
     // The doomed copy still occupies the link: loss happens in transit, not
     // at the sender.
-    release_buffer(!to_controller, std::move(wire));
+    release_buffer(std::move(wire));
     link.send(wire_bytes, []() {});
     return;
   }
@@ -97,30 +93,26 @@ void Channel::transmit(net::Link& link, Handler& handler, std::vector<std::uint8
     extra = sim::SimTime::nanoseconds(static_cast<std::int64_t>(fault_rng_->next_below(
         static_cast<std::uint64_t>(fault_profile_.max_extra_delay.ns()) + 1)));
   }
-  // The delivery closure runs at the receiving endpoint (on its shard, when
-  // the channel is split): decode, buffer release and the jitter floor all
-  // belong to the receiver.
   link.send(wire_bytes,
             [this, &handler, wire = std::move(wire), wire_bytes, extra, jittered,
              to_controller]() mutable {
     auto decoded = decode_message(wire);
     SDNBUF_CHECK_MSG(decoded.has_value(), "control channel delivered an undecodable message");
-    release_buffer(to_controller, std::move(wire));
+    release_buffer(std::move(wire));
     if (!jittered) {
       if (handler) handler(*decoded, wire_bytes);
       return;
     }
-    sim::Simulator& rsim = receiver_sim(to_controller);
     // Jitter must not reorder a direction's messages (TCP delivers in
     // order): never deliver before an earlier message's delivery time.
-    sim::SimTime when = rsim.now() + extra;
+    sim::SimTime when = sim_.now() + extra;
     sim::SimTime& floor = deliver_floor_[to_controller ? 1 : 0];
     if (when < floor) when = floor;
     floor = when;
-    if (when <= rsim.now()) {
+    if (when <= sim_.now()) {
       if (handler) handler(*decoded, wire_bytes);
     } else {
-      rsim.schedule(when - rsim.now(),
+      sim_.schedule(when - sim_.now(),
                     [&handler, delivered = std::move(*decoded), wire_bytes]() mutable {
         sim::ScopedProfileTag tag{"channel"};
         if (handler) handler(delivered, wire_bytes);
@@ -135,18 +127,17 @@ std::size_t Channel::send(net::Link& link, MessageCounters& counters, Handler& h
   // receiver, so any asymmetry between encode and decode would surface
   // immediately in every simulation. The wire bytes live in a pooled
   // scratch buffer that returns to the pool after decode.
-  sim::Simulator& ssim = sender_sim(to_controller);
-  auto wire = acquire_buffer(!to_controller);
+  auto wire = acquire_buffer();
   encode_message_into(msg, wire);
   const std::size_t wire_bytes = wire.size() + kTransportOverhead;
-  if (fault_profile_.in_outage(ssim.now())) {
+  if (fault_profile_.in_outage(sim_.now())) {
     // Connection down: the message never reaches the wire, so it appears in
     // no counter or capture — exactly what tcpdump would (not) see.
     auto& dropped = to_controller ? fault_counters_.outage_dropped_to_controller
                                   : fault_counters_.outage_dropped_to_switch;
     ++dropped;
-    if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Outage, ssim.now());
-    release_buffer(!to_controller, std::move(wire));
+    if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Outage, sim_.now());
+    release_buffer(std::move(wire));
     return wire_bytes;
   }
   const double dup_p =
@@ -158,11 +149,11 @@ std::size_t Channel::send(net::Link& link, MessageCounters& counters, Handler& h
       h != nullptr) {
     h->record(static_cast<double>(wire_bytes));
   }
-  if (tap_) tap_(to_controller, msg, wire_bytes, ssim.now());
-  if (verify_tap_) verify_tap_(to_controller, msg, wire_bytes, ssim.now());
+  if (tap_) tap_(to_controller, msg, wire_bytes, sim_.now());
+  if (verify_tap_) verify_tap_(to_controller, msg, wire_bytes, sim_.now());
   std::vector<std::uint8_t> copy;
   if (duplicate) {
-    copy = acquire_buffer(!to_controller);
+    copy = acquire_buffer();
     copy.assign(wire.begin(), wire.end());
   }
   transmit(link, handler, std::move(wire), wire_bytes, msg, to_controller);
@@ -172,10 +163,10 @@ std::size_t Channel::send(net::Link& link, MessageCounters& counters, Handler& h
     ++duped;
     // Fault tap first, then the duplicate's capture/verify records, so an
     // observer widens its accounting before seeing the second crossing.
-    if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Duplicate, ssim.now());
+    if (fault_tap_) fault_tap_(to_controller, msg, FaultKind::Duplicate, sim_.now());
     counters.record(message_type(msg), wire_bytes);
-    if (tap_) tap_(to_controller, msg, wire_bytes, ssim.now());
-    if (verify_tap_) verify_tap_(to_controller, msg, wire_bytes, ssim.now());
+    if (tap_) tap_(to_controller, msg, wire_bytes, sim_.now());
+    if (verify_tap_) verify_tap_(to_controller, msg, wire_bytes, sim_.now());
     transmit(link, handler, std::move(copy), wire_bytes, msg, to_controller);
   }
   return wire_bytes;

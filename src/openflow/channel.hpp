@@ -104,16 +104,6 @@ class Channel {
   // reverse direction. Links are owned by the caller (the testbed).
   Channel(sim::Simulator& sim, net::Link& to_controller, net::Link& to_switch);
 
-  // Sharded fabrics: the switch endpoint and the controller endpoint live on
-  // different shards, each with its own simulator. Send-side bookkeeping
-  // (outage check, taps, counters) reads the sender's clock; delivery-side
-  // work (decode, jitter floors) the receiver's. Both default to the ctor's
-  // simulator, so single-sim channels are untouched.
-  void set_shard_sims(sim::Simulator& switch_sim, sim::Simulator& controller_sim) {
-    switch_sim_ = &switch_sim;
-    controller_sim_ = &controller_sim;
-  }
-
   void set_controller_handler(Handler h) { controller_handler_ = std::move(h); }
   void set_switch_handler(Handler h) { switch_handler_ = std::move(h); }
 
@@ -146,10 +136,8 @@ class Channel {
   [[nodiscard]] const FaultProfile& fault_profile() const { return fault_profile_; }
   [[nodiscard]] const ChannelFaultCounters& fault_counters() const { return fault_counters_; }
   // False while an outage window covers `now`. Queried by the switch's
-  // liveness machinery, hence the switch-side clock.
-  [[nodiscard]] bool connection_up() const {
-    return !fault_profile_.in_outage(switch_sim_->now());
-  }
+  // liveness machinery.
+  [[nodiscard]] bool connection_up() const { return !fault_profile_.in_outage(sim_.now()); }
 
   // Fault observation tap: fires once per injected fault, at send time for
   // outage drops and duplicates, at send time of the doomed copy for losses.
@@ -169,10 +157,9 @@ class Channel {
   }
 
   // Allocates a fresh transaction id. The two endpoints draw from disjoint
-  // spaces (switch odd, controller even) so id assignment is deterministic
-  // even when the endpoints live on different shards and their windows
-  // execute concurrently — a shared counter would hand out ids in whatever
-  // order the threads happened to interleave.
+  // spaces (switch odd, controller even). Xids travel on the wire, so this
+  // numbering is part of every encoded message: the wire-byte goldens and
+  // the committed results depend on it staying exactly as it is.
   [[nodiscard]] std::uint32_t next_xid() {
     const std::uint32_t xid = next_switch_xid_;
     next_switch_xid_ += 2;
@@ -192,28 +179,14 @@ class Channel {
   void transmit(net::Link& link, Handler& handler, std::vector<std::uint8_t> wire,
                 std::size_t wire_bytes, const OfMessage& msg, bool to_controller);
 
-  // Scratch-buffer pools for wire encodings, one per endpoint so a sharded
-  // channel's two sides never touch the same free list concurrently. A
-  // buffer is checked out at send time by the sender, rides inside the
-  // delivery closure while in flight, and lands in the *receiver's* pool
-  // (capacity intact) once decoded — steady-state encode/deliver performs no
-  // allocation, buffers just migrate between the endpoint pools. Bounded so
-  // a burst cannot pin memory forever.
-  [[nodiscard]] std::vector<std::uint8_t> acquire_buffer(bool controller_side);
-  void release_buffer(bool controller_side, std::vector<std::uint8_t>&& buffer);
-
-  // The sender's / receiver's simulator for a message heading in the given
-  // direction (identical unless set_shard_sims split them).
-  [[nodiscard]] sim::Simulator& sender_sim(bool to_controller) {
-    return to_controller ? *switch_sim_ : *controller_sim_;
-  }
-  [[nodiscard]] sim::Simulator& receiver_sim(bool to_controller) {
-    return to_controller ? *controller_sim_ : *switch_sim_;
-  }
+  // Scratch-buffer pool for wire encodings. A buffer is checked out at send
+  // time, rides inside the delivery closure while in flight, and returns to
+  // the pool (capacity intact) once decoded, so steady-state encode/deliver
+  // performs no allocation. Bounded so a burst cannot pin memory forever.
+  [[nodiscard]] std::vector<std::uint8_t> acquire_buffer();
+  void release_buffer(std::vector<std::uint8_t>&& buffer);
 
   sim::Simulator& sim_;
-  sim::Simulator* switch_sim_;
-  sim::Simulator* controller_sim_;
   net::Link& to_controller_;
   net::Link& to_switch_;
   Handler controller_handler_;
@@ -228,13 +201,11 @@ class Channel {
   ChannelFaultCounters fault_counters_;
   std::optional<util::Rng> fault_rng_;
   // Per-direction delivery-time floor ([0] to_switch, [1] to_controller):
-  // extra-delay jitter must not reorder messages within a direction. Each
-  // floor is only touched by its receiving endpoint's shard.
+  // extra-delay jitter must not reorder messages within a direction.
   sim::SimTime deliver_floor_[2];
   std::uint32_t next_switch_xid_ = 1;      // odd ids
   std::uint32_t next_controller_xid_ = 2;  // even ids
-  // [0] switch-side pool, [1] controller-side pool.
-  std::vector<std::vector<std::uint8_t>> buffer_pools_[2];
+  std::vector<std::vector<std::uint8_t>> buffer_pool_;
 };
 
 }  // namespace sdnbuf::of

@@ -138,33 +138,6 @@ std::size_t Simulator::run_until(SimTime until) {
   return n;
 }
 
-std::size_t Simulator::run_before(SimTime until) {
-  SDNBUF_CHECK(until >= now_);
-  std::size_t n = 0;
-  while (!heap_.empty()) {
-    if (stale(heap_.front())) {
-      pop_front();
-      SDNBUF_CHECK(cancelled_in_heap_ > 0);
-      --cancelled_in_heap_;
-      continue;
-    }
-    if (heap_.front().when >= until) break;
-    if (pop_and_run()) ++n;
-  }
-  now_ = until;
-  return n;
-}
-
-SimTime Simulator::next_event_time() {
-  while (!heap_.empty()) {
-    if (!stale(heap_.front())) return heap_.front().when;
-    pop_front();
-    SDNBUF_CHECK(cancelled_in_heap_ > 0);
-    --cancelled_in_heap_;
-  }
-  return SimTime::max();
-}
-
 bool Simulator::step() { return pop_and_run(); }
 
 }  // namespace sdnbuf::sim

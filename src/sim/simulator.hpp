@@ -114,18 +114,6 @@ class Simulator {
   // the clock to `until`. Returns the number executed.
   std::size_t run_until(SimTime until);
 
-  // Runs events with time strictly < until, then advances the clock to
-  // `until`. This is the window-execution primitive of the sharded engine:
-  // a conservative window [floor, W) must leave events at exactly W for the
-  // next window, or a cross-shard message arriving at W could be ordered
-  // after a local event at W that was already executed.
-  std::size_t run_before(SimTime until);
-
-  // Timestamp of the earliest live (non-cancelled) pending event, or
-  // SimTime::max() when the queue is empty. Non-const because stale
-  // tombstones at the heap front are popped on the way.
-  [[nodiscard]] SimTime next_event_time();
-
   // Executes the single earliest event, if any. Returns true if one ran.
   bool step();
 

@@ -156,25 +156,15 @@ void EgressScheduler::transmit(unsigned service_class) {
   }
 
   busy_ = true;
-  net::Link::SendResult sent;
-  if (!link_.shard_crossing()) {
-    // Hot path: the delivery closure captures only `this` and pops the
-    // in-flight FIFO, so it fits EventFn's inline buffer — no allocation
-    // per hop. The packet is pushed only on Sent (dropped frames schedule
-    // no delivery), keeping the ring in lockstep with the wire.
-    sent = link_.send_frame(frame_size, [this]() {
-      net::Packet packet = inflight_.pop_front();
-      if (deliver_) deliver_(std::move(packet));
-    });
-    if (sent == net::Link::SendResult::Sent) inflight_.push_back(std::move(item.packet));
-  } else {
-    // Shard-crossing port: the callback runs on the receiver's shard, which
-    // must not touch this scheduler's queues — carry the packet by value
-    // (one allocation per crossing; crossings are the fabric minority).
-    sent = link_.send_frame(frame_size, [this, packet = item.packet]() mutable {
-      if (deliver_) deliver_(std::move(packet));
-    });
-  }
+  // The delivery closure captures only `this` and pops the in-flight FIFO,
+  // so it fits EventFn's inline buffer — no allocation per hop. The packet
+  // is pushed only on Sent (dropped frames schedule no delivery), keeping
+  // the ring in lockstep with the wire.
+  const net::Link::SendResult sent = link_.send_frame(frame_size, [this]() {
+    net::Packet packet = inflight_.pop_front();
+    if (deliver_) deliver_(std::move(packet));
+  });
+  if (sent == net::Link::SendResult::Sent) inflight_.push_back(std::move(item.packet));
   if (sent != net::Link::SendResult::Sent) {
     ++queue.stats.link_dropped;
     if (on_drop_) {

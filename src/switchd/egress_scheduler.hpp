@@ -145,9 +145,7 @@ class EgressScheduler {
   // FIFO (each frame's arrival time exceeds the previous frame's), so the
   // delivery callback can pop the front instead of capturing the packet —
   // which keeps the per-hop closure inside EventFn's inline buffer: the
-  // steady-state forwarding path performs no heap allocation. Only valid
-  // for same-shard links; shard-crossing deliveries run on the receiver's
-  // shard and capture the packet by value instead of touching this state.
+  // steady-state forwarding path performs no heap allocation.
   util::Ring<net::Packet> inflight_;
   std::vector<ClassQueue> queues_;
   unsigned drr_cursor_ = 0;

@@ -716,7 +716,7 @@ void Switch::enqueue_egress(Port& port, net::Packet&& packet) {
 
 bool Switch::sample_hit(const net::Packet& packet) const {
   // splitmix64 finalizer over (flow hash, sequence, salt): deterministic for
-  // a fixed salt, independent of arrival order, host, and shard layout.
+  // a fixed salt, independent of arrival order and host.
   std::uint64_t h = packet.flow_key().hash() ^
                     (std::uint64_t{packet.seq_in_flow} * 0x9e3779b97f4a7c15ULL) ^
                     config_.telemetry_sample_salt;

@@ -11,8 +11,8 @@
 namespace sdnbuf::verify {
 
 Scenario sample_scenario(std::uint64_t seed, bool force_faults, bool force_fabric,
-                         bool force_link_faults, bool force_shards, bool force_telemetry,
-                         bool force_mmu, std::optional<sw::EvictionPolicy> force_eviction) {
+                         bool force_link_faults, bool force_telemetry, bool force_mmu,
+                         std::optional<sw::EvictionPolicy> force_eviction) {
   // Decorrelate the sampling stream from the experiment's own seeded
   // streams (which derive from `seed` directly).
   util::Rng rng(seed * 0x9e3779b97f4a7c15ULL + 0x5ca1ab1e);
@@ -60,7 +60,7 @@ Scenario sample_scenario(std::uint64_t seed, bool force_faults, bool force_fabri
   // Fabric cross-check draws come LAST so enabling them never perturbs the
   // base scenario a seed maps to. The gate draw is always consumed.
   const bool want_fabric = rng.next_double() < 0.30;
-  if (want_fabric || force_fabric || force_link_faults || force_shards) {
+  if (want_fabric || force_fabric || force_link_faults) {
     s.fabric_kind = static_cast<unsigned>(rng.next_below(3));
     s.fabric_switches = static_cast<unsigned>(2 + rng.next_below(7));  // 2..8
     s.fabric_seed = rng.next_u64();
@@ -76,13 +76,9 @@ Scenario sample_scenario(std::uint64_t seed, bool force_faults, bool force_fabri
     s.fabric_flap_mean_down_s = rng.uniform(0.005, 0.025);
     s.fabric_fault_seed = rng.next_u64();
   }
-  // Sharded-engine draws come last of all, same append-only discipline: a
-  // seed's scenario (including its fabric and fault shapes) is unchanged by
-  // the sharding dimension existing. The gate draw is always consumed.
-  const bool want_shards = rng.next_double() < 0.30;
-  if (s.has_fabric() && (want_shards || force_shards)) {
-    s.fabric_shards = static_cast<unsigned>(2 + rng.next_below(3));  // 2..4
-  }
+  // Retired shard-count draws, still consumed so every later draw keeps its seed mapping.
+  const bool retired_gate = rng.next_double() < 0.30;
+  if (s.has_fabric() && retired_gate) static_cast<void>(rng.next_below(3));
   // Telemetry draws come after everything else (append-only discipline: the
   // telemetry dimension existing never changes the scenario a seed already
   // maps to). The gate draw is always consumed.
@@ -220,8 +216,7 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
       cfg.fabric.switch_config.telemetry_sample_period = scenario.telemetry_sample_period;
       cfg.fabric.controller_config.flow_monitor_enabled = scenario.telemetry_sample_period > 0;
     }
-    // Every fabric switch runs its own MMU instance (the pool is per-switch);
-    // the sharded cross-check inherits this via the config copy below.
+    // Every fabric switch runs its own MMU instance (the pool is per-switch).
     if (scenario.has_mmu()) scenario.apply_mmu(cfg.fabric.switch_config.mmu);
     if (scenario.has_link_faults()) {
       // Seeded flap schedules on every inter-switch link, identical across
@@ -276,64 +271,6 @@ static void run_fabric_check(const Scenario& scenario, ScenarioOutcome& out) {
         out.failures.push_back(label + ": " + std::to_string(obsy.stamped_deliveries()) +
                                " stamped deliveries but " + std::to_string(obsy.delivered()) +
                                " ledgered (depth >= 1 must stamp every delivery)");
-      }
-    }
-
-    if (scenario.fabric_shards >= 2) {
-      // Re-run this mechanism on the sharded engine: per-switch conservation
-      // must hold there too, and — fault-free and drained on both engines —
-      // the delivered payload multiset must match the sequential run exactly
-      // (shard counts may reorder equal-timestamp events, so the multiset,
-      // not the byte stream, is the contract). Channel faults need the
-      // sequential engine, so the sharded run goes without them.
-      std::vector<std::unique_ptr<InvariantRegistry>> shard_registries;
-      core::FabricExperimentConfig shard_cfg = cfg;
-      shard_cfg.fabric.fault_profile = of::FaultProfile{};
-      shard_cfg.observers.clear();
-      // The observatory is one shared ledger; re-running the same payloads
-      // through it would mix two runs' fates. The telemetry *knobs* stay on
-      // so the sharded run stamps and samples identically.
-      shard_cfg.observatory = nullptr;
-      for (unsigned sw_i = 0; sw_i < topology.n_switches(); ++sw_i) {
-        shard_registries.push_back(std::make_unique<InvariantRegistry>());
-        if (scenario.fabric_full_path) shard_registries.back()->set_allow_proactive_installs(true);
-        if (scenario.has_link_faults()) shard_registries.back()->set_allow_revisits(true);
-        shard_cfg.observers.push_back(shard_registries.back().get());
-      }
-      shard_cfg.fabric.shards = scenario.fabric_shards;
-      shard_cfg.fabric.shard_threads = 2;
-      const core::FabricExperimentResult sr = run_fabric_experiment(shard_cfg);
-      const std::string label =
-          "fabric-sharded(" + std::to_string(scenario.fabric_shards) + ") " +
-          std::string(sw::buffer_mode_name(kModes[i]));
-      std::uint64_t shard_events = 0;
-      for (unsigned sw_i = 0; sw_i < shard_registries.size(); ++sw_i) {
-        shard_registries[sw_i]->finalize(
-            /*expect_all_delivered=*/sr.drained && !scenario.has_link_faults());
-        shard_events += shard_registries[sw_i]->events_observed();
-        if (!shard_registries[sw_i]->ok()) {
-          out.failures.push_back(label + " " + topology.name(topology.switch_id(sw_i)) + ": " +
-                                 shard_registries[sw_i]->report());
-        }
-      }
-      out.fabric_events += shard_events;
-      if (shard_events == 0) {
-        out.failures.push_back(label + ": observers saw no events (hooks unwired?)");
-      }
-      if (sr.packets_sent != r.packets_sent) {
-        out.failures.push_back(label + ": emitted " + std::to_string(sr.packets_sent) +
-                               " packets vs sequential " + std::to_string(r.packets_sent));
-      }
-      if (!scenario.has_link_faults()) {
-        if (!sr.drained) {
-          out.failures.push_back(label + ": undrained (" + std::to_string(sr.packets_delivered) +
-                                 "/" + std::to_string(sr.packets_sent) + " delivered)");
-        }
-        if (!lossy && sr.drained && r.drained && sr.delivered != r.delivered) {
-          out.failures.push_back(label +
-                                 " delivered a different payload multiset than the "
-                                 "sequential engine");
-        }
       }
     }
 
@@ -406,7 +343,6 @@ std::string Scenario::describe() const {
       os << " link_flap=" << fabric_flap_mean_up_s << "s/" << fabric_flap_mean_down_s
          << "s link_fault_seed=" << fabric_fault_seed;
     }
-    if (fabric_shards > 0) os << " fabric_shards=" << fabric_shards;
   }
   if (has_telemetry()) {
     os << " telemetry=on int_depth=" << telemetry_int_depth

@@ -65,12 +65,6 @@ struct Scenario {
   double fabric_flap_mean_down_s = 0.0;
   std::uint64_t fabric_fault_seed = 0;
 
-  // Sharded-engine cross-check (DESIGN.md §14): re-run each fabric mechanism
-  // on the sharded engine with this many shards and compare against the
-  // sequential run — same per-switch conservation, and (fault-free, drained)
-  // the identical delivered payload multiset. 0 disables it.
-  unsigned fabric_shards = 0;
-
   // Telemetry-plane cross-check (DESIGN.md §15): attach a FabricObservatory
   // to every mechanism run and require the drop-attribution ledger to close
   // against the invariant registry's independent accounting. INT depth and
@@ -82,7 +76,7 @@ struct Scenario {
   std::uint32_t telemetry_sample_period = 0;
 
   // Shared-memory MMU cross-check (DESIGN.md §16): run every mechanism (and
-  // the fabric / sharded cross-checks) with the switch's buffer managers and
+  // the fabric cross-check) with the switch's buffer managers and
   // egress queues arbitrated by one shared cell pool under the drawn sharing
   // policy. The pool-conservation invariant (ledger vs reported occupancies)
   // rides on the same InvariantRegistry hooks. `mmu == false` disables the
@@ -137,11 +131,9 @@ struct Scenario {
 // channel faults are armed on every control channel. `force_link_faults`
 // implies a fabric and
 // guarantees data-plane flap schedules on its inter-switch links.
-// `force_shards` implies a fabric and guarantees the sharded-engine
-// cross-check fires; its draws are appended last so forcing it never
-// perturbs the scenario a seed already maps to. `force_telemetry` likewise
-// guarantees the observatory ledger cross-check attaches (its draws are
-// appended after everything else, same append-only discipline).
+// `force_telemetry` guarantees the observatory ledger cross-check attaches
+// (its draws are appended after the fabric and link-fault draws, so forcing
+// it never perturbs the scenario a seed already maps to).
 // `force_mmu` guarantees the shared-memory MMU arbitrates every run (its
 // draws are appended after the telemetry draws, same discipline). The
 // eviction-policy draw comes after those; `force_eviction` pins the policy
@@ -150,7 +142,6 @@ struct Scenario {
 [[nodiscard]] Scenario sample_scenario(std::uint64_t seed, bool force_faults = false,
                                        bool force_fabric = false,
                                        bool force_link_faults = false,
-                                       bool force_shards = false,
                                        bool force_telemetry = false,
                                        bool force_mmu = false,
                                        std::optional<sw::EvictionPolicy> force_eviction = {});

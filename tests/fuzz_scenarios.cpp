@@ -20,12 +20,12 @@ int main(int argc, char** argv) {
   using namespace sdnbuf;
 
   util::CliFlags flags(argc, argv, {"runs", "seed", "offset", "verbose", "force-faults",
-                                    "force-fabric", "force-link-faults", "force-shards",
-                                    "force-telemetry", "force-mmu", "force-eviction"});
+                                    "force-fabric", "force-link-faults", "force-telemetry",
+                                    "force-mmu", "force-eviction"});
   if (!flags.ok()) {
     std::fprintf(stderr, "%s\nusage: fuzz_scenarios [--runs N] [--seed S] [--offset K] "
                          "[--verbose] [--force-faults] [--force-fabric] [--force-link-faults] "
-                         "[--force-shards] [--force-telemetry] [--force-mmu] "
+                         "[--force-telemetry] [--force-mmu] "
                          "[--force-eviction lru|fifo|random]\n",
                  flags.error().c_str());
     return 2;
@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
   const bool force_faults = flags.get_bool("force-faults", false);
   const bool force_fabric = flags.get_bool("force-fabric", false);
   const bool force_link_faults = flags.get_bool("force-link-faults", false);
-  const bool force_shards = flags.get_bool("force-shards", false);
   const bool force_telemetry = flags.get_bool("force-telemetry", false);
   const bool force_mmu = flags.get_bool("force-mmu", false);
   const std::string eviction_name = flags.get_string("force-eviction", "");
@@ -58,8 +57,8 @@ int main(int argc, char** argv) {
   for (long long i = offset; i < offset + runs; ++i) {
     const verify::Scenario scenario =
         verify::sample_scenario(static_cast<std::uint64_t>(base_seed + i), force_faults,
-                                force_fabric, force_link_faults, force_shards, force_telemetry,
-                                force_mmu, force_eviction);
+                                force_fabric, force_link_faults, force_telemetry, force_mmu,
+                                force_eviction);
     const verify::ScenarioOutcome outcome = verify::run_scenario(scenario);
     if (outcome.ok()) {
       if (verbose) {
@@ -85,11 +84,10 @@ int main(int argc, char** argv) {
     for (const auto& failure : outcome.failures) {
       std::printf("      %s\n", failure.c_str());
     }
-    std::printf("      reproduce: fuzz_scenarios --seed %lld --runs 1%s%s%s%s%s%s%s%s\n",
+    std::printf("      reproduce: fuzz_scenarios --seed %lld --runs 1%s%s%s%s%s%s%s\n",
                 base_seed + i, force_faults ? " --force-faults" : "",
                 force_fabric ? " --force-fabric" : "",
                 force_link_faults ? " --force-link-faults" : "",
-                force_shards ? " --force-shards" : "",
                 force_telemetry ? " --force-telemetry" : "",
                 force_mmu ? " --force-mmu" : "", force_eviction ? " --force-eviction " : "",
                 eviction_name.c_str());

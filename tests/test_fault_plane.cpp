@@ -528,9 +528,3 @@ TEST(FabricChannelFaults, ChannelZeroDrawsTheOneSwitchRigsStream) {
   // Every other channel draws from its own stream.
   EXPECT_NE(fabric_fault_stream(fabric, 1), bare_stream);
 }
-
-TEST(FabricChannelFaults, ShardedEngineRejectsChannelFaults) {
-  core::FabricConfig config = faulted_leaf_spine();
-  config.shards = 2;
-  EXPECT_DEATH(core::FabricTestbed{config}, "sequential engine");
-}

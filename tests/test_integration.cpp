@@ -336,10 +336,6 @@ TEST(Integration, RejectsATemplateOtherThanTheOneSwitchRig) {
   routed.testbed.routing = FabricRouting::TopologyPerHop;
   EXPECT_DEATH((void)run_experiment(routed), "L2-learning");
 
-  ExperimentConfig sharded = base_config(sw::BufferMode::PacketGranularity);
-  sharded.testbed.shards = 2;
-  EXPECT_DEATH((void)run_experiment(sharded), "sequential engine");
-
   // Observers and the observatory belong on ExperimentConfig; a template
   // that sets its own would be silently replaced, so it is refused.
   verify::InvariantRegistry registry;

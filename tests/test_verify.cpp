@@ -451,6 +451,42 @@ TEST(ScenarioGen, SamplingIsDeterministic) {
   EXPECT_NE(a.describe(), c.describe());
 }
 
+// Pinned seed -> scenario mappings. Each seed below drew a fabric dimension
+// that has since been retired, and each has telemetry and MMU draws after
+// it. The retired draws are still consumed, so these later draws keep their
+// values; dropping the retired draws would shift them and fail this test.
+TEST(ScenarioGen, RetiredDrawsKeepSeedMappings) {
+  const std::pair<std::uint64_t, std::string> pinned[] = {
+      {38,
+       "seed=38 rate=85.5208Mbps frame=687 flows=21x1 order=seq batch=4 tcp=1"
+       " buf_cap=32 table_cap=4096 piggyback=0 drop_p=0.0739247 poll=0 ns"
+       " chan_loss=0.0935001/0.181048 chan_dup=0 chan_jitter=0 ns outage=0 ns+0 ns"
+       " echo=0 ns fail_mode=fail-secure fabric=leaf-spine fabric_sw=8"
+       " fabric_seed=3617245441222915437 fabric_pattern=0 fabric_install=per-hop"
+       " telemetry=on int_depth=8 sample_period=1 mmu=static pool_cells=2048 alpha=0.5"},
+      {131,
+       "seed=131 rate=63.8576Mbps frame=240 flows=23x3 order=seq batch=6 tcp=1"
+       " buf_cap=32 table_cap=20 piggyback=0 drop_p=0 poll=0 ns chan_loss=0/0"
+       " chan_dup=0.0591531 chan_jitter=0 ns outage=0 ns+0 ns echo=143 ms"
+       " fail_mode=fail-secure fabric=fat-tree-k2 fabric_sw=7"
+       " fabric_seed=8609009961510795924 fabric_pattern=0 fabric_install=per-hop"
+       " telemetry=on int_depth=7 sample_period=4 mmu=delay-driven pool_cells=8192"
+       " alpha=2"},
+      {275,
+       "seed=275 rate=41.267Mbps frame=226 flows=85x6 order=seq batch=6 tcp=1"
+       " buf_cap=8 table_cap=4096 piggyback=0 drop_p=0 poll=0 ns"
+       " chan_loss=0.0943561/0.10174 chan_dup=0 chan_jitter=0 ns outage=0 ns+0 ns"
+       " echo=0 ns fail_mode=fail-secure fabric=fat-tree-k2 fabric_sw=7"
+       " fabric_seed=17761827859857266535 fabric_pattern=2 fabric_install=per-hop"
+       " link_flap=0.1171s/0.0177358s link_fault_seed=6370483821483955826 telemetry=on"
+       " int_depth=5 sample_period=4 mmu=delay-driven pool_cells=8192 alpha=2"},
+  };
+  for (const auto& [seed, expected] : pinned) {
+    EXPECT_EQ(verify::sample_scenario(seed).describe(), expected) << "seed " << seed;
+  }
+}
+
+
 TEST(ScenarioFuzz, SmokeSeedsPassAllInvariants) {
   for (const std::uint64_t seed : {1ULL, 7ULL}) {
     const auto outcome = verify::run_scenario(verify::sample_scenario(seed));
