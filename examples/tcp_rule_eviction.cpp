@@ -104,8 +104,8 @@ Result run_scenario(sw::BufferMode mode, std::size_t table_capacity, std::uint32
   r.control_bytes_resume = bed.control_link_at(0).forward().tap().bytes() - bytes_before;
   r.delivered = bed.sink_at(1).packets_received();
   const auto* rec = recorder.record(1);
-  if (rec != nullptr && rec->last_departure) {
-    r.resume_latency_ms = (*rec->last_departure - resume_start).ms();
+  if (rec != nullptr && rec->is_set(rec->last_departure)) {
+    r.resume_latency_ms = (rec->last_departure - resume_start).ms();
   }
   return r;
 }

@@ -58,9 +58,9 @@ BurstResult run_burst(sw::BufferMode mode, std::uint32_t packets, double rate_mb
   r.control_bytes_down = bed.control_link_at(0).reverse().tap().bytes();
   r.delivered = bed.sink_at(1).packets_received();
   const auto* rec = recorder.record(1);
-  if (rec != nullptr && rec->first_departure && rec->last_departure) {
-    r.first_delivery_ms = (*rec->first_departure - start).ms();
-    r.last_delivery_ms = (*rec->last_departure - start).ms();
+  if (rec != nullptr && rec->is_set(rec->first_departure)) {
+    r.first_delivery_ms = (rec->first_departure - start).ms();
+    r.last_delivery_ms = (rec->last_departure - start).ms();
   }
   // In-order check: the sink saw every sequence number exactly once; order
   // is implied by FIFO links if no packet overtook another inside the

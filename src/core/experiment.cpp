@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/csv.hpp"
@@ -163,11 +164,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   r.switch_cpu_pct = ovs.cpu().utilization_percent(t0, t1);
   r.bus_utilization_pct = ovs.bus().utilization_percent(t0, t1);
 
-  const auto delays = recorder.finalize();
-  r.setup_ms = delays.setup_ms;
-  r.controller_ms = delays.controller_ms;
-  r.switch_ms = delays.switch_ms;
-  r.forwarding_ms = delays.forwarding_ms;
+  auto delays = recorder.finalize();
+  r.setup_ms = std::move(delays.setup_ms);
+  r.controller_ms = std::move(delays.controller_ms);
+  r.switch_ms = std::move(delays.switch_ms);
+  r.forwarding_ms = std::move(delays.forwarding_ms);
   r.flows_complete = delays.flows_complete;
 
   if (const auto* occ = ovs.buffer_occupancy(); occ != nullptr) {

@@ -36,6 +36,7 @@ FabricTestbed::FabricTestbed(const FabricConfig& config)
   for (unsigned h = 0; h < topo_.n_hosts(); ++h) {
     sinks_.push_back(std::make_unique<host::HostSink>(sim_));
   }
+  uplink_inflight_.resize(topo_.n_hosts());
 
   // Construction order mirrors the original hand-wired chain exactly —
   // controller, all data links, then per switch [switch, control link,
@@ -230,16 +231,16 @@ void FabricTestbed::inject_from_host(unsigned host_index, const net::Packet& pac
     chain_[si]->on_packet_injected(packet, sim_.now());
   }
   const std::uint16_t in_port = att.peer_port;
-  const auto sent = uplink.send_frame(
-      packet.frame_size, [this, si, in_port, packet]() { switches_[si]->receive(in_port, packet); });
-  if (sent != net::Link::SendResult::Sent) {
+  util::Ring<net::Packet>& inflight = uplink_inflight_[host_index];
+  const bool sent = uplink.send(packet.frame_size, [this, si, in_port, &inflight]() {
+    switches_[si]->receive(in_port, inflight.pop_front());
+  });
+  if (sent) {
+    inflight.push_back(packet);
+  } else if (chain_[si] != nullptr) {
     // The injection was already opened in the switch's registry above; close
     // it so conservation still balances when the access link eats the frame.
-    if (chain_[si] != nullptr) {
-      chain_[si]->on_packet_dropped(
-          packet, sent == net::Link::SendResult::FaultDrop ? "link-down" : "link-queue",
-          sim_.now());
-    }
+    chain_[si]->on_packet_dropped(packet, "link-down", sim_.now());
   }
 }
 

@@ -38,6 +38,7 @@
 #include "switchd/switch.hpp"
 #include "topo/routing.hpp"
 #include "topo/topology.hpp"
+#include "util/ring.hpp"
 #include "util/stats.hpp"
 #include "verify/invariants.hpp"
 
@@ -222,6 +223,10 @@ class FabricTestbed {
   topo::Topology topo_;
   FabricRouting routing_;
   std::vector<std::unique_ptr<host::HostSink>> sinks_;
+  // Frames on each host's access uplink, in wire (= delivery) order. The
+  // delivery event pops its frame here instead of carrying it, so the event
+  // fits EventFn's inline buffer and injection allocates nothing.
+  std::vector<util::Ring<net::Packet>> uplink_inflight_;
   std::unique_ptr<ctrl::Controller> controller_;
   std::unique_ptr<topo::Router> router_;
   std::vector<std::unique_ptr<net::DuplexLink>> data_links_;     // topology link order

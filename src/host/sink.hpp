@@ -5,11 +5,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <set>
+#include <utility>
 
 #include "metrics/delay_recorder.hpp"
 #include "net/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_map.hpp"
 #include "util/stats.hpp"
 
 namespace sdnbuf::host {
@@ -44,7 +46,7 @@ class HostSink {
   // End-to-end latency (source emission -> sink arrival), milliseconds.
   [[nodiscard]] const util::Samples& latency_ms() const { return latency_ms_; }
 
-  // Packets received for one flow.
+  // Packets received for one flow, duplicates included.
   [[nodiscard]] std::uint64_t flow_packets(std::uint64_t flow_id) const;
 
   void reset();
@@ -59,9 +61,19 @@ class HostSink {
   std::uint64_t duplicates_ = 0;
   sim::SimTime last_arrival_;
   util::Samples latency_ms_;
-  // flow -> set of seen sequence numbers is overkill; count per (flow, seq)
-  // pairs to detect duplicates cheaply.
-  std::unordered_map<std::uint64_t, std::unordered_map<std::uint32_t, std::uint32_t>> seen_;
+  // Exact seen-set in 8 bytes per flow. Every seq below `next` has arrived;
+  // a first copy that arrives ahead of `next` waits in `ahead_` until the
+  // gap closes. Senders number a flow's packets densely from 0 and links
+  // are FIFO, so `ahead_` stays empty unless a path reorders packets.
+  struct FlowSeen {
+    std::uint32_t next = 0;    // lowest seq not yet received
+    std::uint32_t copies = 0;  // deliveries, duplicates included
+  };
+  // Records the arrival of (flow, seq); true on its first copy.
+  bool mark_seen(std::uint64_t flow_id, std::uint32_t seq);
+
+  util::FlatMap<std::uint64_t, FlowSeen, util::Mix64Hash> seen_;
+  std::set<std::pair<std::uint64_t, std::uint32_t>> ahead_;
 };
 
 }  // namespace sdnbuf::host

@@ -2,30 +2,32 @@
 
 namespace sdnbuf::metrics {
 
+static_assert(sizeof(DelayRecorder::FlowRecord) == 48, "the recorder keeps one record per flow");
+
 void DelayRecorder::on_first_packet_arrival(std::uint64_t flow_id, sim::SimTime t) {
   if (flow_id == kUntrackedFlow) return;
   auto& r = flow(flow_id);
-  if (!r.first_arrival) r.first_arrival = t;
+  if (!FlowRecord::is_set(r.first_arrival)) r.first_arrival = t;
 }
 
 void DelayRecorder::on_packet_departure(std::uint64_t flow_id, sim::SimTime t) {
   if (flow_id == kUntrackedFlow) return;
   auto& r = flow(flow_id);
-  if (!r.first_departure) r.first_departure = t;
-  if (!r.last_departure || t > *r.last_departure) r.last_departure = t;
+  if (!FlowRecord::is_set(r.first_departure)) r.first_departure = t;
+  if (t > r.last_departure) r.last_departure = t;
   ++r.packets_departed;
 }
 
 void DelayRecorder::on_packet_in_sent(std::uint64_t flow_id, sim::SimTime t) {
   if (flow_id == kUntrackedFlow) return;
   auto& r = flow(flow_id);
-  if (!r.pkt_in_sent) r.pkt_in_sent = t;
+  if (!FlowRecord::is_set(r.pkt_in_sent)) r.pkt_in_sent = t;
 }
 
 void DelayRecorder::on_response_arrival(std::uint64_t flow_id, sim::SimTime t) {
   if (flow_id == kUntrackedFlow) return;
   auto& r = flow(flow_id);
-  if (!r.response_arrival) r.response_arrival = t;
+  if (!FlowRecord::is_set(r.response_arrival)) r.response_arrival = t;
 }
 
 void DelayRecorder::on_packet_delivered(std::uint64_t flow_id, sim::SimTime t) {
@@ -51,15 +53,14 @@ DelayRecorder::Result DelayRecorder::finalize() const {
   for (const auto& [id, r] : flows_) {
     out.packets_departed += r.packets_departed;
     out.packets_delivered += r.packets_delivered;
-    if (!r.first_arrival || !r.first_departure) continue;
+    if (!FlowRecord::is_set(r.first_arrival) || !FlowRecord::is_set(r.first_departure)) continue;
     ++out.flows_complete;
-    const double setup = (*r.first_departure - *r.first_arrival).ms();
+    const double setup = (r.first_departure - r.first_arrival).ms();
     out.setup_ms.add(setup);
-    if (r.last_departure) {
-      out.forwarding_ms.add((*r.last_departure - *r.first_arrival).ms());
-    }
-    if (r.pkt_in_sent && r.response_arrival) {
-      const double controller = (*r.response_arrival - *r.pkt_in_sent).ms();
+    // Set whenever first_departure is.
+    out.forwarding_ms.add((r.last_departure - r.first_arrival).ms());
+    if (FlowRecord::is_set(r.pkt_in_sent) && FlowRecord::is_set(r.response_arrival)) {
+      const double controller = (r.response_arrival - r.pkt_in_sent).ms();
       out.controller_ms.add(controller);
       out.switch_ms.add(setup - controller);
     }

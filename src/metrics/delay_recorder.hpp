@@ -13,7 +13,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <limits>
 #include <unordered_map>
 
 #include "sim/time.hpp"
@@ -32,14 +32,21 @@ class DelayRecorder {
   void on_response_arrival(std::uint64_t flow_id, sim::SimTime t);
   void on_packet_delivered(std::uint64_t flow_id, sim::SimTime t);
 
+  // 48 bytes: one record per flow ever seen, so its size is the recorder's
+  // memory per flow. A timestamp that has not happened yet holds kUnset,
+  // which sorts before every simulated time.
   struct FlowRecord {
-    std::optional<sim::SimTime> first_arrival;
-    std::optional<sim::SimTime> first_departure;
-    std::optional<sim::SimTime> last_departure;
-    std::optional<sim::SimTime> pkt_in_sent;
-    std::optional<sim::SimTime> response_arrival;
-    std::uint64_t packets_departed = 0;
-    std::uint64_t packets_delivered = 0;
+    static constexpr sim::SimTime kUnset =
+        sim::SimTime::nanoseconds(std::numeric_limits<std::int64_t>::min());
+    [[nodiscard]] static bool is_set(sim::SimTime t) { return t != kUnset; }
+
+    sim::SimTime first_arrival = kUnset;
+    sim::SimTime first_departure = kUnset;
+    sim::SimTime last_departure = kUnset;
+    sim::SimTime pkt_in_sent = kUnset;
+    sim::SimTime response_arrival = kUnset;
+    std::uint32_t packets_departed = 0;
+    std::uint32_t packets_delivered = 0;
   };
 
   struct Result {
@@ -61,6 +68,9 @@ class DelayRecorder {
   [[nodiscard]] std::size_t flow_count() const { return flows_.size(); }
 
  private:
+  // A node map, not util::FlatMap: finalize() emits samples in this map's
+  // bucket order, and the committed results and benchmark fingerprints
+  // depend on that order.
   FlowRecord& flow(std::uint64_t flow_id) { return flows_[flow_id]; }
   std::unordered_map<std::uint64_t, FlowRecord> flows_;
 };

@@ -22,10 +22,6 @@ Link::Link(sim::Simulator& sim, std::string name, double bandwidth_bps,
 
 Link::SendResult Link::send_frame(std::uint64_t bytes, sim::EventFn on_delivered) {
   SDNBUF_CHECK_MSG(bytes > 0, "cannot send an empty frame");
-  if (backlog_bytes_ + bytes > queue_limit_bytes_) {
-    ++drops_;
-    return SendResult::QueueDrop;
-  }
   const sim::SimTime start =
       transmitter_free_at_ > sim_.now() ? transmitter_free_at_ : sim_.now();
   const sim::SimTime done_sending = start + sim::transmission_time(bytes, bandwidth_bps_);
@@ -39,13 +35,7 @@ Link::SendResult Link::send_frame(std::uint64_t bytes, sim::EventFn on_delivered
     return SendResult::FaultDrop;
   }
   tap_.record(bytes);
-  backlog_bytes_ += bytes;
   transmitter_free_at_ = done_sending;
-  // The backlog counts bytes not yet clocked onto the wire.
-  sim_.schedule_at(done_sending, [this, bytes]() {
-    SDNBUF_CHECK(backlog_bytes_ >= bytes);
-    backlog_bytes_ -= bytes;
-  });
   // Wrapping the callback in a profile tag costs a heap allocation (an
   // EventFn nested inside an EventFn overflows the small buffer), so the
   // per-link attribution wrapper only exists when the simulator actually

@@ -2,8 +2,9 @@
 //
 // A link has a bandwidth and a propagation delay. Transmissions serialize:
 // a frame starts when the transmitter becomes free, takes bytes*8/bandwidth
-// to clock out, then arrives after the propagation delay. An optional
-// transmit-queue byte limit models NIC ring exhaustion (drops are counted).
+// to clock out, then arrives after the propagation delay. Queueing happens
+// before the link (the egress scheduler's per-class queues), so the link
+// itself never drops for lack of room; only its fault schedule loses frames.
 //
 // `ByteTap` is the tcpdump stand-in: it observes every transmission on a
 // link and accumulates bytes/frames so experiments can report link load in
@@ -11,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -54,23 +54,19 @@ class Link {
 
   enum class SendResult : std::uint8_t {
     Sent,       // frame scheduled for delivery
-    QueueDrop,  // transmit queue byte limit exceeded
     FaultDrop,  // link down for part of the frame's flight interval
   };
 
   // Queues `bytes` for transmission; `on_delivered` fires at the receiver
-  // once the last bit has propagated. Returns false (and counts a drop)
-  // if the transmit queue byte limit would be exceeded or the link's fault
-  // schedule has it down during the frame's flight. `on_delivered` is a
-  // move-only sim::EventFn so the per-hop path schedules without a heap
-  // allocation for typical captures.
+  // once the last bit has propagated. Returns false (and counts a fault
+  // drop) if the link's fault schedule has it down during the frame's
+  // flight. `on_delivered` is a move-only sim::EventFn so the per-hop path
+  // schedules without a heap allocation for typical captures.
   bool send(std::uint64_t bytes, sim::EventFn on_delivered) {
     return send_frame(bytes, std::move(on_delivered)) == SendResult::Sent;
   }
 
-  // As send(), but distinguishes the drop cause — callers that account
-  // per-packet fates (egress scheduler, fabric injection) need to know
-  // whether a lost frame died to the fault plane or to queue exhaustion.
+  // As send(), returning the outcome as a SendResult.
   SendResult send_frame(std::uint64_t bytes, sim::EventFn on_delivered);
 
   // Attaches a fault schedule (owned by the caller, may be null). The
@@ -83,15 +79,10 @@ class Link {
     return faults_ == nullptr || !faults_->down_at(t);
   }
 
-  // Caps the untransmitted backlog; unlimited by default.
-  void set_queue_limit_bytes(std::uint64_t limit) { queue_limit_bytes_ = limit; }
-
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] double bandwidth_bps() const { return bandwidth_bps_; }
   [[nodiscard]] sim::SimTime propagation_delay() const { return propagation_delay_; }
-  [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::uint64_t fault_drops() const { return fault_drops_; }
-  [[nodiscard]] std::uint64_t backlog_bytes() const { return backlog_bytes_; }
 
   [[nodiscard]] ByteTap& tap() { return tap_; }
   [[nodiscard]] const ByteTap& tap() const { return tap_; }
@@ -102,9 +93,6 @@ class Link {
   double bandwidth_bps_;
   sim::SimTime propagation_delay_;
   sim::SimTime transmitter_free_at_;
-  std::uint64_t queue_limit_bytes_ = std::numeric_limits<std::uint64_t>::max();
-  std::uint64_t backlog_bytes_ = 0;
-  std::uint64_t drops_ = 0;
   std::uint64_t fault_drops_ = 0;
   const LinkFaultSchedule* faults_ = nullptr;
   ByteTap tap_;

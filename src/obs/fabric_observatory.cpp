@@ -39,10 +39,8 @@ const char* fate_name(PacketFate fate) {
 
 PacketFate classify_drop_site(const char* where) {
   if (where == nullptr) return PacketFate::Other;
-  // Tail drops at a transmit queue (per-class egress, flood fan-out, or the
-  // link's own queue).
-  if (std::strcmp(where, "egress-queue") == 0 || std::strcmp(where, "flood-queue") == 0 ||
-      std::strcmp(where, "link-queue") == 0) {
+  // Tail drops at a transmit queue (per-class egress or flood fan-out).
+  if (std::strcmp(where, "egress-queue") == 0 || std::strcmp(where, "flood-queue") == 0) {
     return PacketFate::QueueFull;
   }
   // Data-plane fault plane: dead links, downed ports, crashed switches, and

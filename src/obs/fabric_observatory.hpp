@@ -48,7 +48,7 @@ class MetricsRegistry;
 // one of these classes; `Other` is the explicit catch-all (never a silent
 // default — the raw `why` string is preserved alongside).
 enum class PacketFate : std::uint8_t {
-  QueueFull,       // egress/flood/link transmit queue tail drop
+  QueueFull,       // egress/flood transmit queue tail drop
   LinkFault,       // data-plane outage, downed port, control-channel loss
   TableMissStorm,  // packet_in discarded controller-side, or dropped by rule
   HopLimit,        // forwarding-loop guard
@@ -210,12 +210,8 @@ class FabricObservatory {
     std::vector<HopAgg> spill;
   };
   // Unordered on the harvest path; write_paths_csv sorts rows by flow id.
-  struct FlowIdHash {
-    std::size_t operator()(std::uint64_t k) const {
-      return static_cast<std::size_t>(util::mix64(k));
-    }
-  };
-  [[nodiscard]] const util::FlatMap<std::uint64_t, FlowPath, FlowIdHash>& flow_paths() const {
+  using FlowPaths = util::FlatMap<std::uint64_t, FlowPath, util::Mix64Hash>;
+  [[nodiscard]] const FlowPaths& flow_paths() const {
     flush();
     return paths_;
   }
@@ -287,7 +283,7 @@ class FabricObservatory {
   mutable util::FlatMap<PayloadId, LedgerEntry, PayloadIdHash> ledger_;
   std::vector<std::string> sites_;  // interned site labels
   mutable std::map<HeatKey, HeatCell> heat_;
-  mutable util::FlatMap<std::uint64_t, FlowPath, FlowIdHash> paths_;
+  mutable FlowPaths paths_;
 
   mutable std::vector<Event> events_;          // pending, in arrival order
   mutable std::vector<net::HopStamp> stamp_log_;  // arena for pending stamps

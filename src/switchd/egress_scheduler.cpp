@@ -160,17 +160,15 @@ void EgressScheduler::transmit(unsigned service_class) {
   // so it fits EventFn's inline buffer — no allocation per hop. The packet
   // is pushed only on Sent (dropped frames schedule no delivery), keeping
   // the ring in lockstep with the wire.
-  const net::Link::SendResult sent = link_.send_frame(frame_size, [this]() {
+  const bool sent = link_.send(frame_size, [this]() {
     net::Packet packet = inflight_.pop_front();
     if (deliver_) deliver_(std::move(packet));
   });
-  if (sent == net::Link::SendResult::Sent) inflight_.push_back(std::move(item.packet));
-  if (sent != net::Link::SendResult::Sent) {
+  if (sent) {
+    inflight_.push_back(std::move(item.packet));
+  } else {
     ++queue.stats.link_dropped;
-    if (on_drop_) {
-      on_drop_(item.packet,
-               sent == net::Link::SendResult::FaultDrop ? "link-down" : "link-queue");
-    }
+    if (on_drop_) on_drop_(item.packet, "link-down");
   }
   // The transmitter frees after the serialization time; queueing beyond that
   // happens here per class, not invisibly inside the link.

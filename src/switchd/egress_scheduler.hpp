@@ -76,9 +76,9 @@ class EgressScheduler {
   // (0 without an MMU) — stamped into HopStamp::queue_threshold.
   [[nodiscard]] std::uint64_t mmu_threshold_for(const net::Packet& packet) const;
 
-  // Fires when a dequeued packet is lost at the link (fault-plane outage, or
-  // a link transmit-queue drop); `where` is the drop site label the
-  // invariant registry uses ("link-down" / "link-queue"). Null = unobserved.
+  // Fires when a dequeued packet is lost at the link (a fault-plane outage);
+  // `where` is the drop site label the invariant registry uses
+  // ("link-down"). Null = unobserved.
   using DropFn = std::function<void(const net::Packet& packet, const char* where)>;
   void set_drop_handler(DropFn on_drop) { on_drop_ = std::move(on_drop); }
 

@@ -553,67 +553,85 @@ void Switch::handle_packet_out(of::PacketOut msg) {
   const double exec_us = config_.costs.pkt_out_base_us +
                          config_.costs.pkt_out_per_byte_us * static_cast<double>(msg.data.size());
   cpu_.submit(cost_us(exec_us), [this, msg = std::move(msg)]() mutable {
-    if (msg.buffer_id == of::kNoBuffer) {
-      // The frame travels in the message; it must cross the bus to reach
-      // the ASIC before egress.
-      auto parsed = net::Packet::parse(msg.data, static_cast<std::uint32_t>(msg.data.size()));
-      if (!parsed) {
-        ++counters_.packets_dropped;
-        return;
-      }
-      // Wire bytes carry no simulator metadata; restore it from the pending
-      // request this packet_out answers.
-      if (const auto* pending = pending_for_xid(msg.xid); pending != nullptr) {
-        parsed->flow_id = pending->flow_id;
-        parsed->seq_in_flow = pending->seq_in_flow;
-        parsed->created_at = pending->created_at;
-        parsed->tstack = pending->tstack;
-        parsed->hop_arrived_at = pending->hop_arrived_at;
-      }
-      bus_.submit(bus_time(msg.data.size()),
-                  [this, packet = std::move(*parsed), actions = std::move(msg.actions),
-                   in_port = msg.in_port]() mutable {
-        execute_actions(std::move(packet), actions, in_port);
-      });
+    const std::uint32_t xid = msg.xid;
+    run_packet_out(std::move(msg));
+    retire_request(xid);
+  });
+}
+
+void Switch::retire_request(std::uint32_t xid) {
+  // A duplicating channel can deliver a second packet_out for this xid (the
+  // packet_in or the answer was copied), and that copy still needs the
+  // metadata; keep the entry then. Otherwise the answer has run and nothing
+  // reads the entry again.
+  if (channel_ != nullptr) {
+    const of::FaultProfile& faults = channel_->fault_profile();
+    if (faults.duplicate_to_controller > 0.0 || faults.duplicate_to_switch > 0.0) return;
+  }
+  pending_requests_.erase(xid);
+}
+
+void Switch::run_packet_out(of::PacketOut msg) {
+  if (msg.buffer_id == of::kNoBuffer) {
+    // The frame travels in the message; it must cross the bus to reach
+    // the ASIC before egress.
+    auto parsed = net::Packet::parse(msg.data, static_cast<std::uint32_t>(msg.data.size()));
+    if (!parsed) {
+      ++counters_.packets_dropped;
       return;
     }
-
-    if (config_.buffer_mode == BufferMode::PacketGranularity) {
-      SDNBUF_CHECK(packet_buffer_ != nullptr);
-      auto packet = packet_buffer_->release(msg.buffer_id);
-      if (!packet) {
-        report_unknown_buffer(msg);
-        return;
-      }
-      sim_.schedule(cost_us(config_.costs.buffer_release_us),
-                    [this, packet = std::move(*packet), actions = std::move(msg.actions),
-                     in_port = msg.in_port]() mutable {
-        sim::ScopedProfileTag tag{config_.name.c_str()};
-        execute_actions(std::move(packet), actions, in_port);
-      });
-    } else if (config_.buffer_mode == BufferMode::FlowGranularity) {
-      SDNBUF_CHECK(flow_buffer_ != nullptr);
-      auto packets = flow_buffer_->release_all(msg.buffer_id);
-      if (packets.empty()) {
-        report_unknown_buffer(msg);
-        return;
-      }
-      // Algorithm 2, lines 4-9: forward the buffered packets one by one,
-      // each paying its release cost. The releases share one action list.
-      const auto actions = std::make_shared<const of::ActionList>(std::move(msg.actions));
-      sim::SimTime offset;
-      for (auto& packet : packets) {
-        offset += cost_us(config_.costs.buffer_release_us);
-        sim_.schedule(offset, [this, packet = std::move(packet), actions,
-                               in_port = msg.in_port]() mutable {
-          sim::ScopedProfileTag tag{config_.name.c_str()};
-          execute_actions(std::move(packet), *actions, in_port);
-        });
-      }
-    } else {
-      report_unknown_buffer(msg);
+    // Wire bytes carry no simulator metadata; restore it from the pending
+    // request this packet_out answers.
+    if (const auto* pending = pending_for_xid(msg.xid); pending != nullptr) {
+      parsed->flow_id = pending->flow_id;
+      parsed->seq_in_flow = pending->seq_in_flow;
+      parsed->created_at = pending->created_at;
+      parsed->tstack = pending->tstack;
+      parsed->hop_arrived_at = pending->hop_arrived_at;
     }
-  });
+    bus_.submit(bus_time(msg.data.size()),
+                [this, packet = std::move(*parsed), actions = std::move(msg.actions),
+                 in_port = msg.in_port]() mutable {
+      execute_actions(std::move(packet), actions, in_port);
+    });
+    return;
+  }
+
+  if (config_.buffer_mode == BufferMode::PacketGranularity) {
+    SDNBUF_CHECK(packet_buffer_ != nullptr);
+    auto packet = packet_buffer_->release(msg.buffer_id);
+    if (!packet) {
+      report_unknown_buffer(msg);
+      return;
+    }
+    sim_.schedule(cost_us(config_.costs.buffer_release_us),
+                  [this, packet = std::move(*packet), actions = std::move(msg.actions),
+                   in_port = msg.in_port]() mutable {
+      sim::ScopedProfileTag tag{config_.name.c_str()};
+      execute_actions(std::move(packet), actions, in_port);
+    });
+  } else if (config_.buffer_mode == BufferMode::FlowGranularity) {
+    SDNBUF_CHECK(flow_buffer_ != nullptr);
+    auto packets = flow_buffer_->release_all(msg.buffer_id);
+    if (packets.empty()) {
+      report_unknown_buffer(msg);
+      return;
+    }
+    // Algorithm 2, lines 4-9: forward the buffered packets one by one,
+    // each paying its release cost. The releases share one action list.
+    const auto actions = std::make_shared<const of::ActionList>(std::move(msg.actions));
+    sim::SimTime offset;
+    for (auto& packet : packets) {
+      offset += cost_us(config_.costs.buffer_release_us);
+      sim_.schedule(offset, [this, packet = std::move(packet), actions,
+                             in_port = msg.in_port]() mutable {
+        sim::ScopedProfileTag tag{config_.name.c_str()};
+        execute_actions(std::move(packet), *actions, in_port);
+      });
+    }
+  } else {
+    report_unknown_buffer(msg);
+  }
 }
 
 void Switch::report_unknown_buffer(const of::PacketOut& msg) {

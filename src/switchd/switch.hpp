@@ -254,6 +254,9 @@ class Switch {
   [[nodiscard]] PacketBufferManager* packet_buffer() { return packet_buffer_.get(); }
   [[nodiscard]] FlowBufferManager* flow_buffer() { return flow_buffer_.get(); }
   [[nodiscard]] const SwitchCounters& counters() const { return counters_; }
+  // packet_ins whose answering packet_out has not run yet. On a duplicating
+  // channel every entry is kept.
+  [[nodiscard]] std::size_t pending_requests() const { return pending_requests_.size(); }
   [[nodiscard]] const SwitchConfig& config() const { return config_; }
 
   [[nodiscard]] ConnectionState connection_state() const { return conn_state_; }
@@ -338,6 +341,9 @@ class Switch {
   void on_control_message(of::OfMessage& msg);
   void handle_flow_mod(of::FlowMod msg);
   void handle_packet_out(of::PacketOut msg);
+  // The CPU job of a packet_out, and the pending-request retirement after it.
+  void run_packet_out(of::PacketOut msg);
+  void retire_request(std::uint32_t xid);
   void report_unknown_buffer(const of::PacketOut& msg);
   void handle_flow_stats(const of::FlowStatsRequest& msg);
   void handle_aggregate_stats(const of::AggregateStatsRequest& msg);
@@ -378,7 +384,8 @@ class Switch {
   obs::SwitchInstruments instr_;
   SwitchCounters counters_;
   // packet_in xid -> original packet metadata, for attributing responses and
-  // restoring simulator metadata on no-buffer packet_out frames.
+  // restoring simulator metadata on no-buffer packet_out frames. An entry
+  // retires once the packet_out answering it has run (see retire_request).
   struct PendingRequest {
     std::uint64_t flow_id = metrics::kUntrackedFlow;
     std::uint32_t seq_in_flow = 0;

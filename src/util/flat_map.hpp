@@ -24,6 +24,11 @@
 
 namespace sdnbuf::util {
 
+// Hash for integer keys such as flow ids.
+struct Mix64Hash {
+  std::size_t operator()(std::uint64_t k) const { return static_cast<std::size_t>(mix64(k)); }
+};
+
 template <typename K, typename V, typename Hash>
 class FlatMap {
  public:

@@ -141,9 +141,9 @@ TEST(DelayRecorder, RecordAccessor) {
   rec.on_first_packet_arrival(1, SimTime::milliseconds(3));
   const auto* r = rec.record(1);
   ASSERT_NE(r, nullptr);
-  ASSERT_TRUE(r->first_arrival.has_value());
-  EXPECT_EQ(*r->first_arrival, SimTime::milliseconds(3));
-  EXPECT_FALSE(r->first_departure.has_value());
+  ASSERT_TRUE(r->is_set(r->first_arrival));
+  EXPECT_EQ(r->first_arrival, SimTime::milliseconds(3));
+  EXPECT_FALSE(r->is_set(r->first_departure));
 }
 
 }  // namespace

@@ -269,19 +269,6 @@ TEST(Link, TapCountsBytesAndFrames) {
                    8.0);
 }
 
-TEST(Link, QueueLimitDrops) {
-  sim::Simulator sim;
-  Link link{sim, "l", 1e6, sim::SimTime::zero()};  // slow: 1 Mbps
-  link.set_queue_limit_bytes(1500);
-  EXPECT_TRUE(link.send(1000, nullptr));
-  EXPECT_TRUE(link.send(500, nullptr));
-  EXPECT_FALSE(link.send(1, nullptr));  // over the 1500-byte backlog cap
-  EXPECT_EQ(link.drops(), 1u);
-  sim.run();
-  // After draining, sends succeed again.
-  EXPECT_TRUE(link.send(1000, nullptr));
-}
-
 TEST(Link, TapResets) {
   sim::Simulator sim;
   Link link{sim, "l", 100e6, sim::SimTime::zero()};

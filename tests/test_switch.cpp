@@ -237,6 +237,48 @@ TEST_F(SwitchTest, FlowModWithBufferIdInstallsAndReleases) {
   EXPECT_EQ(at_host2.size(), 1u);
   EXPECT_EQ(sw.flow_table().size(), 1u);
   EXPECT_EQ(sw.packet_buffer()->packets_stored(), 0u);
+  // The release retired the packet_in's pending request.
+  EXPECT_EQ(sw.pending_requests(), 0u);
+}
+
+TEST_F(SwitchTest, PendingRequestRetiresAfterItsPacketOutRuns) {
+  Switch& sw = make(BufferMode::NoBuffer);
+  sw.receive(1, flow_packet(5, 3));
+  sim.run();
+  ASSERT_EQ(pkt_ins.size(), 1u);
+  EXPECT_EQ(sw.pending_requests(), 1u);
+  respond(pkt_ins[0], 2);
+  sim.run();
+  // The packet_out restored the frame's metadata from the entry, then
+  // retired it.
+  ASSERT_EQ(at_host2.size(), 1u);
+  EXPECT_EQ(at_host2[0].flow_id, 5u);
+  EXPECT_EQ(at_host2[0].seq_in_flow, 3u);
+  EXPECT_EQ(sw.pending_requests(), 0u);
+}
+
+// A duplicating channel delivers a packet_in or its answer twice; the second
+// no-buffer packet_out must still get the frame's metadata back.
+TEST_F(SwitchTest, DuplicatedPacketOutStillRestoresMetadata) {
+  for (const bool to_switch : {true, false}) {
+    SCOPED_TRACE(to_switch ? "duplicate_to_switch" : "duplicate_to_controller");
+    pkt_ins.clear();
+    at_host2.clear();
+    Switch& sw = make(BufferMode::NoBuffer);
+    of::FaultProfile dup;
+    (to_switch ? dup.duplicate_to_switch : dup.duplicate_to_controller) = 1.0;
+    channel.set_fault_profile(dup, 7);
+    sw.receive(1, flow_packet(5, 3));
+    sim.run();
+    for (const of::PacketIn& pi : pkt_ins) respond(pi, 2);
+    sim.run();
+    ASSERT_EQ(at_host2.size(), 2u);
+    for (const net::Packet& p : at_host2) {
+      EXPECT_EQ(p.flow_id, 5u);
+      EXPECT_EQ(p.seq_in_flow, 3u);
+    }
+    EXPECT_EQ(sw.pending_requests(), 1u);
+  }
 }
 
 TEST_F(SwitchTest, PacketOutUnknownBufferIdCounted) {

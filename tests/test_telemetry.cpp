@@ -90,7 +90,6 @@ TEST(FateTaxonomy, DropSitesClassify) {
   using obs::PacketFate;
   EXPECT_EQ(obs::classify_drop_site("egress-queue"), PacketFate::QueueFull);
   EXPECT_EQ(obs::classify_drop_site("flood-queue"), PacketFate::QueueFull);
-  EXPECT_EQ(obs::classify_drop_site("link-queue"), PacketFate::QueueFull);
   EXPECT_EQ(obs::classify_drop_site("link-down"), PacketFate::LinkFault);
   EXPECT_EQ(obs::classify_drop_site("port-down"), PacketFate::LinkFault);
   EXPECT_EQ(obs::classify_drop_site("switch-crashed"), PacketFate::LinkFault);

@@ -405,6 +405,55 @@ TEST(Sink, DetectsDuplicates) {
   EXPECT_EQ(sink.flow_packets(1), 3u);
 }
 
+net::Packet sink_packet(std::uint64_t flow_id, std::uint32_t seq) {
+  net::Packet p = net::make_udp_packet(net::MacAddress::from_index(1),
+                                       net::MacAddress::from_index(2),
+                                       net::Ipv4Address::from_octets(10, 1, 0, 1),
+                                       net::Ipv4Address::from_octets(10, 2, 0, 1), 1, 2, 500);
+  p.flow_id = flow_id;
+  p.seq_in_flow = seq;
+  return p;
+}
+
+TEST(Sink, OutOfOrderFirstCopiesAreNotDuplicates) {
+  sim::Simulator sim;
+  HostSink sink{sim};
+  std::vector<std::uint32_t> first_copies;
+  sink.set_on_receive([&](const net::Packet& p) { first_copies.push_back(p.seq_in_flow); });
+  for (const std::uint32_t seq : {2u, 0u, 3u, 1u, 5u}) sink.receive(sink_packet(1, seq));
+  EXPECT_EQ(sink.duplicate_packets(), 0u);
+  EXPECT_EQ(sink.flow_packets(1), 5u);
+  EXPECT_EQ(first_copies, (std::vector<std::uint32_t>{2, 0, 3, 1, 5}));
+  // The same seqs on another flow are that flow's first copies.
+  for (const std::uint32_t seq : {1u, 0u}) sink.receive(sink_packet(2, seq));
+  EXPECT_EQ(sink.duplicate_packets(), 0u);
+  EXPECT_EQ(sink.flow_packets(2), 2u);
+}
+
+TEST(Sink, DuplicatesAreExactBelowAndAheadOfTheGap) {
+  sim::Simulator sim;
+  HostSink sink{sim};
+  std::uint64_t first_copies = 0;
+  sink.set_on_receive([&](const net::Packet&) { ++first_copies; });
+  // 0..1 in order, then 4 and 6 ahead of the gap at 2.
+  for (const std::uint32_t seq : {0u, 1u, 4u, 6u}) sink.receive(sink_packet(7, seq));
+  sink.receive(sink_packet(7, 1));  // below the gap
+  sink.receive(sink_packet(7, 4));  // ahead of the gap, already seen
+  sink.receive(sink_packet(7, 6));  // ahead of the gap, already seen
+  EXPECT_EQ(sink.duplicate_packets(), 3u);
+  // Closing the gap absorbs 4 but not 6 (5 is still missing).
+  sink.receive(sink_packet(7, 2));
+  sink.receive(sink_packet(7, 3));
+  sink.receive(sink_packet(7, 4));  // now below the gap at 5
+  sink.receive(sink_packet(7, 5));
+  sink.receive(sink_packet(7, 6));  // absorbed when 5 arrived
+  sink.receive(sink_packet(7, 7));
+  EXPECT_EQ(sink.duplicate_packets(), 5u);
+  EXPECT_EQ(first_copies, 8u);
+  EXPECT_EQ(sink.flow_packets(7), 13u);
+  EXPECT_EQ(sink.flow_packets(8), 0u);
+}
+
 TEST(Sink, ResetClearsEverything) {
   sim::Simulator sim;
   HostSink sink{sim};
@@ -413,10 +462,16 @@ TEST(Sink, ResetClearsEverything) {
                                        net::Ipv4Address::from_octets(10, 1, 0, 1),
                                        net::Ipv4Address::from_octets(10, 2, 0, 1), 1, 2, 500);
   sink.receive(p);
+  sink.receive(sink_packet(1, 3));  // ahead of the gap
   sink.reset();
   EXPECT_EQ(sink.packets_received(), 0u);
   EXPECT_EQ(sink.bytes_received(), 0u);
   EXPECT_EQ(sink.latency_ms().count(), 0u);
+  EXPECT_EQ(sink.flow_packets(1), 0u);
+  // Both halves of the seen-set are gone: neither seq is a duplicate now.
+  sink.receive(sink_packet(1, 0));
+  sink.receive(sink_packet(1, 3));
+  EXPECT_EQ(sink.duplicate_packets(), 0u);
 }
 
 }  // namespace
