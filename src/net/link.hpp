@@ -11,8 +11,11 @@
 // Mbps per direction, exactly as the paper measures control-path load.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/link_fault.hpp"
@@ -60,14 +63,30 @@ class Link {
   // Queues `bytes` for transmission; `on_delivered` fires at the receiver
   // once the last bit has propagated. Returns false (and counts a fault
   // drop) if the link's fault schedule has it down during the frame's
-  // flight. `on_delivered` is a move-only sim::EventFn so the per-hop path
-  // schedules without a heap allocation for typical captures.
-  bool send(std::uint64_t bytes, sim::EventFn on_delivered) {
-    return send_frame(bytes, std::move(on_delivered)) == SendResult::Sent;
+  // flight. The callable is forwarded to Simulator::schedule_at, which
+  // builds it once, in its event slot. nullptr or an empty EventFn still
+  // schedules a (no-op) delivery event, so the event sequence is the same.
+  template <class F>
+  bool send(std::uint64_t bytes, F&& on_delivered) {
+    return send_frame(bytes, std::forward<F>(on_delivered)) == SendResult::Sent;
   }
 
   // As send(), returning the outcome as a SendResult.
-  SendResult send_frame(std::uint64_t bytes, sim::EventFn on_delivered);
+  template <class F>
+  SendResult send_frame(std::uint64_t bytes, F&& on_delivered) {
+    if constexpr (std::is_same_v<std::decay_t<F>, sim::EventFn>) {
+      if (!on_delivered) return send_frame(bytes, nullptr);
+    }
+    sim::SimTime arrival;
+    if (!admit(bytes, arrival)) return SendResult::FaultDrop;
+    if (sim_.profile_sink() != nullptr) {
+      schedule_tagged(arrival, sim::EventFn{std::forward<F>(on_delivered)});
+    } else {
+      sim_.schedule_at(arrival, std::forward<F>(on_delivered));
+    }
+    return SendResult::Sent;
+  }
+  SendResult send_frame(std::uint64_t bytes, std::nullptr_t) { return send_frame(bytes, [] {}); }
 
   // Attaches a fault schedule (owned by the caller, may be null). The
   // zero-schedule path is byte-identical to a link without one.
@@ -88,6 +107,11 @@ class Link {
   [[nodiscard]] const ByteTap& tap() const { return tap_; }
 
  private:
+  // The non-template part of a send: fault check, tap and transmitter
+  // clock. Returns false for a fault drop, else sets the arrival time.
+  bool admit(std::uint64_t bytes, sim::SimTime& arrival);
+  void schedule_tagged(sim::SimTime arrival, sim::EventFn on_delivered);
+
   sim::Simulator& sim_;
   std::string name_;
   double bandwidth_bps_;

@@ -15,34 +15,20 @@ bool EventHandle::pending() const {
   return sim_ != nullptr && sim_->slot_matches(slot_, generation_);
 }
 
-EventHandle Simulator::schedule(SimTime delay, EventFn fn) {
-  SDNBUF_CHECK_MSG(delay >= SimTime::zero(), "cannot schedule into the past");
-  return schedule_at(now_ + delay, std::move(fn));
+std::uint32_t Simulator::grow_slab(SimTime when) {
+  SDNBUF_CHECK_MSG(when >= now_, "cannot schedule into the past");
+  SDNBUF_CHECK(free_head_ == kNoFree);
+  SDNBUF_CHECK_MSG(slots_.size() < kNoFree, "event slab exhausted");
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-EventHandle Simulator::schedule_at(SimTime when, EventFn fn) {
-  SDNBUF_CHECK_MSG(when >= now_, "cannot schedule into the past");
-  const std::uint32_t slot = acquire_slot(std::move(fn));
+EventHandle Simulator::enqueue(SimTime when, std::uint32_t slot) {
   const std::uint32_t generation = slots_[slot].generation;
   heap_.push_back(Scheduled{when, next_seq_++, slot, generation});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_pending_;
   return EventHandle{this, slot, generation};
-}
-
-std::uint32_t Simulator::acquire_slot(EventFn fn) {
-  std::uint32_t slot;
-  if (free_head_ != kNoFree) {
-    slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-  } else {
-    SDNBUF_CHECK_MSG(slots_.size() < kNoFree, "event slab exhausted");
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  slots_[slot].fn = std::move(fn);
-  slots_[slot].next_free = kNoFree;
-  return slot;
 }
 
 void Simulator::release_slot(std::uint32_t slot) {

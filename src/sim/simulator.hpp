@@ -9,15 +9,22 @@
 // free list), so scheduling an event performs no per-event heap allocation —
 // neither for the handle (a {slot, generation} pair) nor, for typical
 // lambdas, for the callback itself (`EventFn` is small-buffer-optimized).
+// schedule/schedule_at forward the callable and build it directly in its
+// slot (the free-list pop is inline), then move it once more, out of the
+// slot, just before it runs: two move constructions per event, through
+// Link::send too.
 // The priority queue stores only 24-byte {when, seq, slot, generation}
 // entries; cancelled entries become tombstones that are skipped on pop and
 // compacted away whenever they outnumber the live entries.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
+#include "util/check.hpp"
 #include "util/small_function.hpp"
 
 namespace sdnbuf::sim {
@@ -102,10 +109,23 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
 
   // Schedules `fn` to run at now() + delay (delay >= 0).
-  EventHandle schedule(SimTime delay, EventFn fn);
+  template <class F>
+  EventHandle schedule(SimTime delay, F&& fn) {
+    return schedule_at(now_ + delay, std::forward<F>(fn));
+  }
 
-  // Schedules `fn` at an absolute time (>= now()).
-  EventHandle schedule_at(SimTime when, EventFn fn);
+  // Schedules `fn` at an absolute time (>= now()). The callable is built
+  // once, in its slot; an EventFn must be passed as an rvalue and must not
+  // be empty.
+  template <class F>
+  EventHandle schedule_at(SimTime when, F&& fn) {
+    if constexpr (std::is_same_v<std::decay_t<F>, EventFn>) {
+      SDNBUF_CHECK_MSG(static_cast<bool>(fn), "cannot schedule an empty callback");
+    }
+    const std::uint32_t slot = acquire_slot(when);
+    slots_[slot].fn.assign(std::forward<F>(fn));
+    return enqueue(when, slot);
+  }
 
   // Runs events until the queue is empty. Returns the number executed.
   std::size_t run();
@@ -157,7 +177,17 @@ class Simulator {
   };
 
   bool pop_and_run();
-  std::uint32_t acquire_slot(EventFn fn);
+  // Pops the free list inline; a time before now() (so a negative delay
+  // too) and an empty free list go to grow_slab(), which checks `when` and
+  // appends a slot. enqueue() then pushes the slot's heap entry.
+  std::uint32_t acquire_slot(SimTime when) {
+    const std::uint32_t slot = free_head_;
+    if (slot == kNoFree || when < now_) return grow_slab(when);
+    free_head_ = slots_[slot].next_free;
+    return slot;
+  }
+  std::uint32_t grow_slab(SimTime when);
+  EventHandle enqueue(SimTime when, std::uint32_t slot);
   void release_slot(std::uint32_t slot);
   bool cancel_slot(std::uint32_t slot, std::uint32_t generation);
   [[nodiscard]] bool slot_matches(std::uint32_t slot, std::uint32_t generation) const {

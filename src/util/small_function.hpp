@@ -56,6 +56,23 @@ class SmallFunction<R(Args...), InlineBytes> {
     }
   }
 
+  // Replaces the held callable with one built in place from `f`, so a
+  // container slot takes a callable with a single construction. A
+  // SmallFunction rvalue is moved in (relocated), never wrapped.
+  template <class F>
+  void assign(F&& f) {
+    using Fn = std::decay_t<F>;
+    reset();
+    if constexpr (std::is_same_v<Fn, SmallFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "SmallFunction is move-only: pass it with std::move");
+      move_from(f);
+    } else {
+      static_assert(std::is_invocable_r_v<R, Fn&, Args...>, "not callable with this signature");
+      emplace(std::forward<F>(f));
+    }
+  }
+
   // True when the held callable lives in the inline buffer (test hook).
   [[nodiscard]] bool is_inline() const { return ops_ != nullptr && ops_->inline_storage; }
 

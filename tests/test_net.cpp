@@ -279,6 +279,45 @@ TEST(Link, TapResets) {
   EXPECT_EQ(link.tap().frames(), 0u);
 }
 
+// Counts its own move constructions (declaring the move constructor
+// deletes copying).
+struct MoveCounting {
+  int* moves;
+  int* runs;
+  MoveCounting(int* m, int* r) : moves(m), runs(r) {}
+  MoveCounting(MoveCounting&& o) noexcept : moves(o.moves), runs(o.runs) { ++*moves; }
+  void operator()() const { ++*runs; }
+};
+
+TEST(Link, DeliveryCallableIsMovedAtMostTwice) {
+  // Forwarded to the simulator and built in its event slot: one move in,
+  // one move out to run it.
+  sim::Simulator sim;
+  Link link{sim, "l", 100e6, sim::SimTime::microseconds(20)};
+  int moves = 0;
+  int runs = 0;
+  EXPECT_TRUE(link.send(1000, MoveCounting{&moves, &runs}));
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_LE(moves, 2);
+
+  moves = 0;
+  EXPECT_EQ(link.send_frame(1000, MoveCounting{&moves, &runs}), Link::SendResult::Sent);
+  sim.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_LE(moves, 2);
+}
+
+TEST(Link, EmptyCallbackStillSchedulesItsDeliveryEvent) {
+  sim::Simulator sim;
+  Link link{sim, "l", 100e6, sim::SimTime::zero()};
+  link.send(100, nullptr);
+  link.send(100, sim::EventFn{});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(link.tap().frames(), 2u);
+}
+
 TEST(DuplexLink, DirectionsAreIndependent) {
   sim::Simulator sim;
   DuplexLink link{sim, "d", 100e6, sim::SimTime::zero()};

@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -305,6 +306,186 @@ TEST(Simulator, CallbackMayScheduleIntoItsOwnSlot) {
   sim.schedule(SimTime::zero(), chain);
   sim.run();
   EXPECT_EQ(count, 100);
+}
+
+// Counts its own move and copy constructions through two shared counters.
+struct CountingCallable {
+  int* moves;
+  int* copies;
+  int* runs;
+  CountingCallable(int* m, int* c, int* r) : moves(m), copies(c), runs(r) {}
+  CountingCallable(CountingCallable&& o) noexcept : moves(o.moves), copies(o.copies), runs(o.runs) {
+    ++*moves;
+  }
+  CountingCallable(const CountingCallable& o) : moves(o.moves), copies(o.copies), runs(o.runs) {
+    ++*copies;
+  }
+  void operator()() const { ++*runs; }
+};
+
+TEST(Simulator, CallableIsMovedAtMostTwiceBeforeItRuns) {
+  // One move builds the callable in its slot, one moves it out to run it.
+  Simulator sim;
+  int moves = 0;
+  int copies = 0;
+  int runs = 0;
+  sim.schedule(SimTime::microseconds(1), CountingCallable{&moves, &copies, &runs});
+  sim.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(copies, 0);
+  EXPECT_LE(moves, 2);
+
+  moves = 0;
+  sim.schedule_at(sim.now() + SimTime::microseconds(1), CountingCallable{&moves, &copies, &runs});
+  sim.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(copies, 0);
+  EXPECT_LE(moves, 2);
+
+  // An lvalue is copied into its slot once and never moved on the way in.
+  moves = 0;
+  const CountingCallable kept{&moves, &copies, &runs};
+  sim.schedule(SimTime::microseconds(1), kept);
+  sim.run();
+  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(copies, 1);
+  EXPECT_LE(moves, 1);
+
+  // An EventFn rvalue is relocated into its slot: one move builds the
+  // EventFn, one relocates it into the slot, one moves it out to run.
+  moves = 0;
+  EventFn fn = CountingCallable{&moves, &copies, &runs};
+  sim.schedule(SimTime::microseconds(1), std::move(fn));
+  sim.run();
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(copies, 1);
+  EXPECT_LE(moves, 3);
+}
+
+TEST(SimulatorDeathTest, EmptyCallbackFailsAtScheduleTime) {
+  Simulator sim;
+  EXPECT_DEATH(sim.schedule(SimTime::zero(), EventFn{}), "empty callback");
+  EXPECT_DEATH(sim.schedule_at(SimTime::zero(), EventFn{}), "empty callback");
+}
+
+TEST(SimulatorDeathTest, PastTimesFailAtScheduleTime) {
+  Simulator sim;
+  EXPECT_DEATH(sim.schedule(SimTime::nanoseconds(-1), []() {}), "into the past");
+  sim.run_until(SimTime::microseconds(5));
+  EXPECT_DEATH(sim.schedule_at(SimTime::microseconds(4), []() {}), "into the past");
+}
+
+// Property: under a random mix of schedule, schedule_at, single cancels,
+// mass cancels that compact the heap and callbacks that schedule more
+// events, with up to a few thousand pending, events run exactly in
+// (when, seq) order, seq being the order of the schedule calls.
+class OrderingHarness {
+ public:
+  explicit OrderingHarness(std::uint64_t seed) : rng_(seed) {}
+
+  void add() {
+    // A 50 ns grid, so equal times are common among the pending events.
+    const SimTime delay = SimTime::nanoseconds(static_cast<std::int64_t>(rng_.next_below(2000)) * 50);
+    const SimTime when = sim_.now() + delay;
+    const std::uint64_t seq = next_seq_++;
+    auto fire = [this, when, seq]() { on_fire(when, seq); };
+    const EventHandle h =
+        rng_.next_below(2) == 0 ? sim_.schedule(delay, fire) : sim_.schedule_at(when, fire);
+    reference_.emplace(when.ns(), seq);
+    handles_.push_back(Tracked{h, when.ns(), seq});
+  }
+
+  // Cancels a random tracked handle; a fired one makes it a no-op.
+  void cancel_one() {
+    if (handles_.empty()) return;
+    const std::size_t i = rng_.next_below(handles_.size());
+    cancel(handles_[i]);
+    handles_[i] = handles_.back();
+    handles_.pop_back();
+  }
+
+  // Cancels about three quarters of the pending events at once.
+  void mass_cancel() {
+    const std::size_t before = sim_.queued_entries();
+    for (Tracked& t : handles_) {
+      if (rng_.next_below(4) != 0) cancel(t);
+    }
+    std::erase_if(handles_, [](const Tracked& t) { return !t.handle.pending(); });
+    if (sim_.queued_entries() < before / 2) compacted_ = true;
+  }
+
+  Simulator& sim() { return sim_; }
+  util::Rng& rng() { return rng_; }
+  [[nodiscard]] std::size_t pending() const { return reference_.size(); }
+  [[nodiscard]] std::uint64_t scheduled() const { return next_seq_; }
+  [[nodiscard]] std::uint64_t executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
+  [[nodiscard]] std::uint64_t misordered() const { return misordered_; }
+  [[nodiscard]] bool compacted() const { return compacted_; }
+
+ private:
+  struct Tracked {
+    EventHandle handle;
+    std::int64_t when_ns;
+    std::uint64_t seq;
+  };
+
+  void cancel(Tracked& t) {
+    if (!t.handle.pending()) return;
+    t.handle.cancel();
+    if (reference_.erase({t.when_ns, t.seq}) == 1) ++cancelled_;
+  }
+
+  void on_fire(SimTime when, std::uint64_t seq) {
+    const auto expected = std::make_pair(when.ns(), seq);
+    if (reference_.empty() || *reference_.begin() != expected || sim_.now() != when) {
+      ++misordered_;
+    }
+    reference_.erase(expected);
+    ++executed_;
+    if (rng_.next_below(3) == 0 && pending() < 4000) add();
+  }
+
+  Simulator sim_;
+  util::Rng rng_;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
+  std::uint64_t misordered_ = 0;
+  bool compacted_ = false;
+  std::set<std::pair<std::int64_t, std::uint64_t>> reference_;  // live (when ns, seq)
+  std::vector<Tracked> handles_;
+};
+
+TEST(SimulatorProperty, RandomScheduleCancelMixRunsInWhenSeqOrder) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    OrderingHarness h(seed);
+    std::size_t peak_pending = 0;
+    for (int round = 0; round < 600; ++round) {
+      const std::uint64_t op = h.rng().next_below(100);
+      if (op < 60) {
+        const std::uint64_t burst = 1 + h.rng().next_below(64);
+        for (std::uint64_t i = 0; i < burst && h.pending() < 4000; ++i) h.add();
+      } else if (op < 75) {
+        for (std::uint64_t i = 0, n = 1 + h.rng().next_below(8); i < n; ++i) h.cancel_one();
+      } else if (op < 77 && h.pending() > 500) {
+        h.mass_cancel();
+      } else {
+        const SimTime until =
+            h.sim().now() + SimTime::nanoseconds(static_cast<std::int64_t>(h.rng().next_below(1000)));
+        h.sim().run_until(until);
+      }
+      peak_pending = std::max(peak_pending, h.pending());
+      ASSERT_EQ(h.sim().pending_events(), h.pending()) << "seed " << seed << " round " << round;
+    }
+    h.sim().run();
+    EXPECT_EQ(h.misordered(), 0u) << "seed " << seed;
+    EXPECT_EQ(h.pending(), 0u) << "seed " << seed;
+    EXPECT_EQ(h.executed() + h.cancelled(), h.scheduled()) << "seed " << seed;
+    EXPECT_EQ(h.sim().executed_events(), h.executed()) << "seed " << seed;
+    EXPECT_TRUE(h.compacted()) << "seed " << seed;
+    EXPECT_GT(peak_pending, 1000u) << "seed " << seed;
+  }
 }
 
 TEST(CpuServer, SingleCoreSerializesJobs) {
